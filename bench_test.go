@@ -445,12 +445,24 @@ func BenchmarkEngineMonthTraceRaw(b *testing.B) {
 func BenchmarkEngineMonthTrace(b *testing.B) { benchEngines(b, 30) }
 
 // BenchmarkEngineMonthAllScenarios runs the whole four-scenario evaluation
-// (the Figure 5 workload) on the month-long trace with the event engine,
-// fanned out across cores by RunAll.
+// (the Figure 5 workload) on the 300 s-quantized month with the default
+// engines, fanned out across cores by RunAll.
 func BenchmarkEngineMonthAllScenarios(b *testing.B) {
-	tr := engineBenchTrace(b, 30)
+	benchAllScenarios(b, engineBenchTrace(b, 30))
+}
+
+// BenchmarkEngineMonthAllScenariosRaw runs the same evaluation on the
+// un-quantized 1 Hz month (what `bmlsim -days 30` runs), where every
+// second is a load change: each scenario folds 2.6M raw samples run by
+// run.
+func BenchmarkEngineMonthAllScenariosRaw(b *testing.B) {
+	benchAllScenarios(b, engineBenchTraceRaw(b, 30))
+}
+
+func benchAllScenarios(b *testing.B, tr *trace.Trace) {
 	planner := getPlanner(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunAll(tr, planner, sim.BMLConfig{}); err != nil {
 			b.Fatal(err)

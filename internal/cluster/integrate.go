@@ -6,20 +6,22 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/profile"
+	"repro/internal/qos"
+	"repro/internal/trace"
 )
 
 // DemandFold integrates the On fleet's energy over a span of demand samples
 // without materializing per-machine loads per sample. Between two scheduler
 // events the machine configuration is fixed, so fill-first dispatch makes
 // the fleet draw a pure (piecewise affine) function of the instantaneous
-// demand: Observe replays Distribute's closed-form pool arithmetic — the
-// same expressions in the same order, so every per-run float is identical
-// to what Distribute+Tick would have produced — but touches no machine and
-// allocates nothing. Commit then materializes the end-of-span state once
-// (dispatch is memoryless: the final loads depend only on the last sample),
-// merges the folded pool aggregates, and ticks only the transitioning
-// machines, whose automata charge exact transition energies over the whole
-// span.
+// demand: FoldWindow replays Distribute's closed-form pool arithmetic —
+// the same expressions in the same order, so every per-run float is
+// identical to what Distribute+Tick would have produced — but touches no
+// machine and allocates nothing. Commit then materializes the end-of-span
+// state once (dispatch is memoryless: the final loads depend only on the
+// last sample), merges the folded pool aggregates, and ticks only the
+// transitioning machines, whose automata charge exact transition energies
+// over the whole span.
 //
 // The contract mirrors the engine's event bounds: no transition may
 // complete strictly before the span's final second (the caller bounds spans
@@ -30,15 +32,19 @@ import (
 // Cluster.StartFold; like the Cluster itself it is not safe for concurrent
 // use.
 type DemandFold struct {
-	c      *Cluster
-	pools  []foldPool
+	c     *Cluster
+	pools []foldPool
+	// active indexes the pools with On machines, in dispatch order: the
+	// only pools whose draw FoldWindow evaluates (an empty pool serves
+	// nothing and draws nothing).
+	active []int
 	energy power.Accumulator
 }
 
 // foldPool accumulates one pool's On energy over the span with compensated
 // summation, alongside the span-constant dispatch parameters StartFold
-// caches so the per-sample Observe loop never chases the pool or its
-// architecture profile.
+// caches so the per-run loop never chases the pool or its architecture
+// profile.
 type foldPool struct {
 	e power.Accumulator
 	// Span-constant configuration, cached by StartFold: the On count (as
@@ -66,6 +72,7 @@ func (c *Cluster) StartFold() (*DemandFold, error) {
 		c.fold = &DemandFold{c: c, pools: make([]foldPool, len(c.poolList))}
 	}
 	f := c.fold
+	f.active = f.active[:0]
 	for i, p := range c.poolList {
 		fp := &f.pools[i]
 		n := len(p.on)
@@ -77,71 +84,87 @@ func (c *Cluster) StartFold() (*DemandFold, error) {
 			idleW:    float64(p.arch.IdlePower),
 			arch:     p.arch,
 		}
+		if n > 0 {
+			f.active = append(f.active, i)
+		}
 	}
 	f.energy.Reset()
 	return f, nil
 }
 
-// Observe folds one run of dt seconds at constant demand: it computes the
-// fill-first dispatch shape and the pool draws exactly as Distribute would,
-// charges the closed-form pool energies exactly as Tick would, and returns
-// the served rate. Machines are not touched.
-func (f *DemandFold) Observe(load, dt float64) (served float64, err error) {
-	if load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
-		return 0, fmt.Errorf("cluster: invalid load %v", load)
-	}
-	if dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
-		return 0, fmt.Errorf("cluster: invalid fold duration %v", dt)
-	}
-	remaining := load
-	for i := range f.pools {
-		fp := &f.pools[i]
-		n := fp.n
-		if n == 0 {
-			continue
-		}
-		// Dispatch shape — Distribute's arithmetic, verbatim (the cached
-		// parameters are the same float64 values Distribute reads through
-		// the pool, so every expression rounds identically).
-		maxPerf := fp.maxPerf
-		full := 0
-		rem := 0.0
-		hasPartial := false
-		if remaining > 0 {
-			if fullF := math.Floor(remaining / maxPerf); fullF >= fp.nF {
-				full = n
-			} else {
-				full = int(fullF)
+// FoldWindow folds a window of per-second demand samples, one run of equal
+// samples at a time: per run it computes the fill-first dispatch shape and
+// the pool draws exactly as Distribute would and charges the closed-form
+// pool energies exactly as Tick would. Machines are not touched. It
+// returns the window's compensated demand and served integrals and its QoS
+// violation seconds (the seconds whose demand exceeds the served rate by
+// more than qos.Slack).
+//
+// The samples must be finite and non-negative, as every trace.Trace's are.
+// A served rate above the demand (beyond qos.Slack) breaks the dispatch
+// invariant and is reported as an error.
+func (f *DemandFold) FoldWindow(w []float64) (demand, served, violation float64, err error) {
+	var demandInt, servedInt power.Accumulator
+	for i := 0; i < len(w); {
+		load := w[i]
+		j := trace.RunEnd(w, i)
+		dt := float64(j - i)
+		remaining := load
+		runServed := 0.0
+		for _, k := range f.active {
+			fp := &f.pools[k]
+			n := fp.n
+			// Dispatch shape — Distribute's arithmetic, verbatim (the
+			// cached parameters are the same float64 values Distribute
+			// reads through the pool, so every expression rounds
+			// identically).
+			maxPerf := fp.maxPerf
+			full := 0
+			rem := 0.0
+			hasPartial := false
+			if remaining > 0 {
+				if fullF := math.Floor(remaining / maxPerf); fullF >= fp.nF {
+					full = n
+				} else {
+					full = int(fullF)
+				}
+				rem = remaining - float64(full)*maxPerf
+				if rem < 0 || full == n {
+					rem = 0
+				}
+				hasPartial = rem > 0
 			}
-			rem = remaining - float64(full)*maxPerf
-			if rem < 0 || full == n {
-				rem = 0
+			pw := float64(full) * fp.maxPower
+			idleNodes := n - full
+			if hasPartial {
+				pw += float64(fp.arch.PowerAt(rem))
+				idleNodes--
 			}
-			hasPartial = rem > 0
-		}
-		pw := float64(full) * fp.maxPower
-		idleNodes := n - full
-		if hasPartial {
-			pw += float64(fp.arch.PowerAt(rem))
-			idleNodes--
-		}
-		pw += float64(idleNodes) * fp.idleW
+			pw += float64(idleNodes) * fp.idleW
 
-		// Pool energy: one compensated add per active pool per run; the
-		// idle/dynamic split is derived once per span in Commit (the idle
-		// component n × IdlePower is span-constant).
-		if dt > 0 {
+			// Pool energy: one compensated add per active pool per run;
+			// the idle/dynamic split is derived once per span in Commit
+			// (the idle component n × IdlePower is span-constant).
 			fp.e.Add(pw * dt)
-		}
 
-		servedP := float64(full)*maxPerf + rem
-		served += servedP
-		remaining -= servedP
-		if remaining < 0 {
-			remaining = 0
+			servedP := float64(full)*maxPerf + rem
+			runServed += servedP
+			remaining -= servedP
+			if remaining < 0 {
+				remaining = 0
+			}
 		}
+		if runServed > load+qos.Slack {
+			return 0, 0, 0, fmt.Errorf("cluster: fold [%d,%d): served %v exceeds offered %v", i, j, runServed, load)
+		}
+		if load-runServed > qos.Slack {
+			violation += dt
+		}
+		demandInt.Add(load * dt)
+		servedInt.Add(runServed * dt)
+		i = j
 	}
-	return served, nil
+	return demandInt.Sum(), servedInt.Sum(), violation, nil
 }
 
 // Commit closes the span: it materializes the end-of-span machine state by

@@ -18,14 +18,40 @@ import (
 	"repro/internal/power"
 )
 
+// Slack is the rate tolerance of every QoS verdict: served may exceed
+// offered by at most Slack (float noise), and an interval violates QoS
+// when offered exceeds served by more than Slack.
+const Slack = 1e-9
+
 // Tracker accumulates QoS statistics over a simulation run. The zero value
 // is ready to use.
 type Tracker struct {
-	seconds          float64
-	violationSeconds float64
-	demand           power.Accumulator // integral of offered load (request count)
-	served           power.Accumulator // integral of served load
+	sums Fold
 }
+
+// Fold is a copy of a Tracker's running sums. A simulation kernel that
+// accounts many intervals in a tight loop copies the sums out with
+// StartFold, keeps them in locals, and copies them back with CommitFold,
+// instead of paying a validated Observe call per interval. To leave the
+// tracker exactly as per-interval Observe calls would, the kernel must
+// uphold Observe's preconditions and make Observe's additions, in order:
+//
+//	f.Seconds += dt
+//	f.Demand.Add(offered * dt)
+//	f.Served.Add(served * dt)
+//	if offered-served > Slack { f.ViolationSeconds += dt }
+type Fold struct {
+	Seconds          float64
+	ViolationSeconds float64
+	Demand           power.Accumulator // integral of offered load (request count)
+	Served           power.Accumulator // integral of served load
+}
+
+// StartFold copies the tracker's running sums out for a kernel to fold into.
+func (t *Tracker) StartFold() Fold { return t.sums }
+
+// CommitFold writes back sums obtained from StartFold.
+func (t *Tracker) CommitFold(f Fold) { t.sums = f }
 
 // Observe records one interval of dt seconds with the given offered and
 // served rates.
@@ -36,14 +62,14 @@ func (t *Tracker) Observe(offered, served, dt float64) error {
 	if offered < 0 || served < 0 || math.IsNaN(offered) || math.IsNaN(served) {
 		return fmt.Errorf("qos: invalid rates offered=%v served=%v", offered, served)
 	}
-	if served > offered+1e-9 {
+	if served > offered+Slack {
 		return fmt.Errorf("qos: served %v exceeds offered %v", served, offered)
 	}
-	t.seconds += dt
-	t.demand.Add(offered * dt)
-	t.served.Add(served * dt)
-	if offered-served > 1e-9 {
-		t.violationSeconds += dt
+	t.sums.Seconds += dt
+	t.sums.Demand.Add(offered * dt)
+	t.sums.Served.Add(served * dt)
+	if offered-served > Slack {
+		t.sums.ViolationSeconds += dt
 	}
 	return nil
 }
@@ -64,54 +90,54 @@ func (t *Tracker) ObserveSpan(seconds, demandIntegral, servedIntegral, violation
 	if demandIntegral < 0 || servedIntegral < 0 || math.IsNaN(demandIntegral) || math.IsNaN(servedIntegral) {
 		return fmt.Errorf("qos: invalid integrals demand=%v served=%v", demandIntegral, servedIntegral)
 	}
-	t.seconds += seconds
-	t.demand.Add(demandIntegral)
-	t.served.Add(servedIntegral)
-	t.violationSeconds += violationSeconds
+	t.sums.Seconds += seconds
+	t.sums.Demand.Add(demandIntegral)
+	t.sums.Served.Add(servedIntegral)
+	t.sums.ViolationSeconds += violationSeconds
 	return nil
 }
 
 // Seconds returns the observed duration.
-func (t *Tracker) Seconds() float64 { return t.seconds }
+func (t *Tracker) Seconds() float64 { return t.sums.Seconds }
 
 // ViolationSeconds returns the time during which demand exceeded capacity.
-func (t *Tracker) ViolationSeconds() float64 { return t.violationSeconds }
+func (t *Tracker) ViolationSeconds() float64 { return t.sums.ViolationSeconds }
 
 // LostRequests returns the integral of unserved load (requests dropped by
 // the stateless web application when capacity was short).
-func (t *Tracker) LostRequests() float64 { return t.demand.Sum() - t.served.Sum() }
+func (t *Tracker) LostRequests() float64 { return t.sums.Demand.Sum() - t.sums.Served.Sum() }
 
 // TotalRequests returns the integral of offered load.
-func (t *Tracker) TotalRequests() float64 { return t.demand.Sum() }
+func (t *Tracker) TotalRequests() float64 { return t.sums.Demand.Sum() }
 
 // Availability returns the served fraction of demand in [0, 1]; a run with
 // zero demand is fully available.
 func (t *Tracker) Availability() float64 {
-	d := t.demand.Sum()
+	d := t.sums.Demand.Sum()
 	if d == 0 {
 		return 1
 	}
-	return t.served.Sum() / d
+	return t.sums.Served.Sum() / d
 }
 
 // ViolationRatio returns the violating fraction of observed time.
 func (t *Tracker) ViolationRatio() float64 {
-	if t.seconds == 0 {
+	if t.sums.Seconds == 0 {
 		return 0
 	}
-	return t.violationSeconds / t.seconds
+	return t.sums.ViolationSeconds / t.sums.Seconds
 }
 
 // Merge folds another tracker's observations into t.
 func (t *Tracker) Merge(o *Tracker) {
-	t.seconds += o.seconds
-	t.violationSeconds += o.violationSeconds
-	t.demand.Add(o.demand.Sum())
-	t.served.Add(o.served.Sum())
+	t.sums.Seconds += o.sums.Seconds
+	t.sums.ViolationSeconds += o.sums.ViolationSeconds
+	t.sums.Demand.Add(o.sums.Demand.Sum())
+	t.sums.Served.Add(o.sums.Served.Sum())
 }
 
 // String summarizes the tracker.
 func (t *Tracker) String() string {
 	return fmt.Sprintf("qos: availability=%.4f%% violations=%.0fs lost=%.0f requests",
-		t.Availability()*100, t.violationSeconds, t.LostRequests())
+		t.Availability()*100, t.sums.ViolationSeconds, t.LostRequests())
 }

@@ -99,3 +99,35 @@ func TestString(t *testing.T) {
 		t.Error("empty String")
 	}
 }
+
+// A kernel that folds intervals through StartFold/CommitFold with Observe's
+// documented additions leaves the tracker bit-identical to Observe calls.
+func TestFoldMatchesObserve(t *testing.T) {
+	intervals := [][3]float64{{0.1, 0.1, 3}, {1e6, 999999.5, 1}, {7.3, 7.3 - 1e-10, 2}, {1e-3, 0, 5}, {42, 42, 1}}
+	var want, got Tracker
+	for i := 0; i < 1000; i++ {
+		for _, iv := range intervals {
+			if err := want.Observe(iv[0], iv[1], iv[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Copy out and back every few intervals, as a day-span kernel does.
+		f := got.StartFold()
+		for _, iv := range intervals {
+			offered, served, dt := iv[0], iv[1], iv[2]
+			f.Seconds += dt
+			f.Demand.Add(offered * dt)
+			f.Served.Add(served * dt)
+			if offered-served > Slack {
+				f.ViolationSeconds += dt
+			}
+		}
+		got.CommitFold(f)
+	}
+	if got != want {
+		t.Errorf("folded tracker %+v differs from observed %+v", got, want)
+	}
+	if want.ViolationSeconds() != 6000 {
+		t.Errorf("violation seconds = %v, want 6000", want.ViolationSeconds())
+	}
+}

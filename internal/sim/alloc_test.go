@@ -1,0 +1,92 @@
+package sim
+
+// Host-independent allocation gates for the run-by-run kernels. They count
+// allocations rather than time them, so they hold on any machine.
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// rawWCDays generates an un-quantized World Cup trace of whole days sized
+// for the fastPlanner catalog. Every trace has the same global peak, so the
+// LowerBound solver's table (sized by the peak) is the same for all.
+func rawWCDays(t *testing.T, days int) *trace.Trace {
+	t.Helper()
+	cfg := trace.DefaultWorldCupConfig()
+	cfg.Days = days
+	cfg.PeakRate = 260
+	tr, err := trace.GenerateWorldCup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// The bound scenarios' day-span kernels allocate O(1) per run: the same
+// number of allocations on a 1-day and a 3-day raw trace, so nothing is
+// allocated per sample, per run of equal samples, or per day.
+func TestBoundScenarioAllocationsIndependentOfTraceLength(t *testing.T) {
+	planner := fastPlanner(t)
+	one, three := rawWCDays(t, 1), rawWCDays(t, 3)
+	for _, sc := range []struct {
+		name string
+		run  func(*trace.Trace) (*Result, error)
+	}{
+		{"ub-global", func(tr *trace.Trace) (*Result, error) { return RunUpperBoundGlobal(tr, planner.Big()) }},
+		{"ub-perday", func(tr *trace.Trace) (*Result, error) { return RunUpperBoundPerDay(tr, planner.Big()) }},
+		{"lowerbound", func(tr *trace.Trace) (*Result, error) { return RunLowerBound(tr, planner.Candidates()) }},
+	} {
+		var err error
+		allocs := func(tr *trace.Trace) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, e := sc.run(tr); e != nil {
+					err = e
+				}
+			})
+		}
+		a1, a3 := allocs(one), allocs(three)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if a1 != a3 {
+			t.Errorf("%s: %v allocations on 1 day, %v on 3 days: the kernel allocates per sample or per day", sc.name, a1, a3)
+		}
+	}
+}
+
+// RunBML on a raw trace allocates about one float64 per sample: the
+// look-ahead predictor's sliding-max array. The predictor build must not
+// allocate a second per-sample buffer, and neither the span scan nor the
+// demand fold may allocate per sample. The load is a steady noisy level:
+// every sample differs (one run per second, the fold's worst case), but
+// the fleet never needs reconfiguring, so the per-decision allocations of
+// the scheduler, which scale with reconfigurations rather than samples,
+// stay out of the per-sample budget.
+func TestRunBMLAllocatesOneFloatPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 3*trace.SecondsPerDay)
+	for i := range vals {
+		vals[i] = 50 + rng.Float64()
+	}
+	tr := trace.MustNew(vals)
+	planner := fastPlanner(t)
+	if _, err := RunBML(tr, planner, BMLConfig{}); err != nil { // warm lazily built state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunBML(tr, planner, BMLConfig{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+	t.Logf("%.2f bytes/sample over %d samples (%d decisions)", perSample, tr.Len(), res.Decisions)
+	if limit := 1.25 * 8; perSample > limit {
+		t.Errorf("RunBML allocates %.2f bytes per sample, want <= %.2f", perSample, limit)
+	}
+}

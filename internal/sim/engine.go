@@ -8,6 +8,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/profile"
+	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -16,9 +17,9 @@ import (
 type Option func(*options)
 
 // engineKind selects one of the three BML execution engines. The static
-// scenarios (upper/lower bounds) only distinguish tick from non-tick: their
-// event paths are already O(load changes) with O(1) per event, so the
-// integrator option runs them event-wise.
+// scenarios (upper/lower bounds) only distinguish tick from non-tick: every
+// non-tick engine runs them through the day-span kernels below
+// (foldHomogeneous, foldLowerBound).
 type engineKind int
 
 const (
@@ -145,54 +146,105 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 	return nil
 }
 
-// runHomogeneousEvent integrates a per-day-constant homogeneous fleet
-// event-wise: the draw only changes when the load or the day's sizing
-// does, so each interval is one closed-form energy evaluation.
-func runHomogeneousEvent(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, res *Result) error {
-	tl := newTimeline(tr, nil)
-	n := tr.Len()
-	for t := 0; t < n; {
-		next := tl.next(t)
-		dt := float64(next - t)
-		nodes := sizeForDay(t / trace.SecondsPerDay)
-		demand := tr.At(t)
-		served := math.Min(demand, float64(nodes)*arch.MaxPerf)
-		total := fleetPowerN(arch, nodes, served)
-		idle := float64(nodes) * float64(arch.IdlePower)
-		e, err := power.IntervalEnergy(power.Watts(total), dt)
-		if err != nil {
-			return err
-		}
-		res.Breakdown.Idle += power.Joules(idle * dt)
-		res.Breakdown.Dynamic += power.Joules((total - idle) * dt)
-		res.addEnergy(t, e)
-		if err := res.QoS.Observe(demand, served, dt); err != nil {
-			return err
-		}
-		t = next
-	}
-	return nil
+// The bound scenarios' fast path is a day-span fold in the integrator's
+// shape. Their model changes only at day edges (the fleet size) and at
+// load changes (the draw), so each day computes its sizing once and walks
+// tr.Window(day) one run of equal samples at a time. Each run evaluates
+// the same expressions in the same order as the tick oracle's seconds
+// would in aggregate (one closed-form energy per run), and the running
+// sums — total and daily energy as Neumaier pairs, the breakdown, and the
+// QoS sums — live in locals and are written back once per day. A run's
+// additions are therefore exactly those a per-run interval loop would
+// make, so results keep their bits (TestResultBitsPinned) and stay within
+// ≤1e-6 J of the tick oracle.
+
+// daySums is one day's slice of a Result's running sums, held in locals by
+// the day-span kernels: the total and daily energy as Neumaier pairs and
+// the QoS sums.
+type daySums struct {
+	total, totalComp float64
+	daily, dailyComp float64
+	qos              qos.Fold
 }
 
-// runLowerBoundEvent integrates the theoretical optimum event-wise: the
-// ideal combination's power is a pure function of the instantaneous load,
-// so it only changes at load changes.
-func runLowerBoundEvent(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
-	tl := newTimeline(tr, nil)
-	n := tr.Len()
-	for t := 0; t < n; {
-		next := tl.next(t)
-		dt := float64(next - t)
-		demand := tr.At(t)
-		e, err := power.IntervalEnergy(solver.PowerAt(demand), dt)
-		if err != nil {
-			return err
+// startDay copies the running sums the kernels fold into out of r.
+func (r *Result) startDay() daySums {
+	return daySums{total: float64(r.TotalEnergy), totalComp: r.totalComp, qos: r.QoS.StartFold()}
+}
+
+// commitDay writes day d's sums back: the total and QoS always, the daily
+// bucket only for complete days (a trailing partial day has none, exactly
+// as addEnergy leaves it uncredited).
+func (r *Result) commitDay(d int, s daySums) {
+	r.TotalEnergy, r.totalComp = power.Joules(s.total), s.totalComp
+	if d < len(r.DailyEnergy) {
+		r.DailyEnergy[d], r.dailyComp[d] = power.Joules(s.daily), s.dailyComp
+	}
+	r.QoS.CommitFold(s.qos)
+}
+
+// foldHomogeneous integrates a homogeneous fleet whose size is a per-day
+// constant: per run, the served load is the demand clamped to the day's
+// capacity and the draw is fleetPowerN's fill-first packing.
+func foldHomogeneous(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, res *Result) {
+	idleW := float64(arch.IdlePower)
+	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
+		nodes := sizeForDay(d)
+		capacity := float64(nodes) * arch.MaxPerf
+		idle := float64(nodes) * idleW
+		bIdle, bDyn := float64(res.Breakdown.Idle), float64(res.Breakdown.Dynamic)
+		s := res.startDay()
+		w := tr.Window(start, start+trace.SecondsPerDay)
+		for i := 0; i < len(w); {
+			demand := w[i]
+			j := trace.RunEnd(w, i)
+			dt := float64(j - i)
+			served := math.Min(demand, capacity)
+			total := fleetPowerN(&arch, nodes, served)
+			bIdle += idle * dt
+			bDyn += (total - idle) * dt
+			e := total * dt
+			s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, e)
+			s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, e)
+			s.qos.Seconds += dt
+			s.qos.Demand.Add(demand * dt)
+			s.qos.Served.Add(served * dt)
+			if demand-served > qos.Slack {
+				s.qos.ViolationSeconds += dt
+			}
+			i = j
 		}
-		res.addEnergy(t, e)
-		if err := res.QoS.Observe(demand, demand, dt); err != nil {
-			return err
+		res.Breakdown.Idle, res.Breakdown.Dynamic = power.Joules(bIdle), power.Joules(bDyn)
+		res.commitDay(d, s)
+	}
+}
+
+// foldLowerBound integrates the theoretical optimum: the ideal
+// combination's power is a pure function of the instantaneous load, and
+// the ideal fleet serves all of it. A load the solver cannot cover (an
+// infinite optimum) is an error.
+func foldLowerBound(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
+	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
+		s := res.startDay()
+		w := tr.Window(start, start+trace.SecondsPerDay)
+		for i := 0; i < len(w); {
+			demand := w[i]
+			j := trace.RunEnd(w, i)
+			dt := float64(j - i)
+			p := solver.PowerAt(demand)
+			if !p.IsValid() {
+				return power.ErrNegativePower
+			}
+			e := float64(p) * dt
+			s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, e)
+			s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, e)
+			// Served equals offered, so the run never violates QoS.
+			s.qos.Seconds += dt
+			s.qos.Demand.Add(demand * dt)
+			s.qos.Served.Add(demand * dt)
+			i = j
 		}
-		t = next
+		res.commitDay(d, s)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -23,14 +22,14 @@ import (
 //   - transition completions and migration-lock expiries (NextWake),
 //   - day boundaries and the trace end.
 //
-// Inside each span the raw samples are folded run-by-run through the same
-// float arithmetic Distribute+Tick would have performed, so the result
-// matches the per-sample oracles to summation ulps — the raw-trace
-// differential suite holds all three engines to ≤1e-6 J and exact counters.
-// The engine's cost is O(scheduler events) iterations plus a tight
-// allocation-free per-sample fold (and sched's per-second decision scan),
-// which is what makes raw traces as cheap per simulated second as quantized
-// ones.
+// Inside each span the window of raw samples is folded run-by-run
+// (cluster.DemandFold.FoldWindow) through the same float arithmetic
+// Distribute+Tick would have performed, so the result matches the
+// per-sample oracles to summation ulps — the raw-trace differential suite
+// holds all three engines to ≤1e-6 J and exact counters. The engine's cost
+// is O(scheduler events) iterations plus a tight allocation-free window
+// fold (and sched's per-second decision scan), which is what makes raw
+// traces as cheap per simulated second as quantized ones.
 
 // runBMLIntegrator is the interval-integrator BML engine loop.
 func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
@@ -61,37 +60,16 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 		if err != nil {
 			return err
 		}
-		var demandInt, servedInt power.Accumulator
-		violation := 0.0
-		for i := 0; i < len(window); {
-			d := window[i]
-			j := i + 1
-			for j < len(window) && window[j] == d {
-				j++
-			}
-			dt := float64(j - i)
-			served, err := fold.Observe(d, dt)
-			if err != nil {
-				return fmt.Errorf("sim: fold [%d,%d): %w", t+i, t+j, err)
-			}
-			// The QoS verdict is a pure per-second function of demand, so it
-			// folds exactly: same thresholds as qos.Tracker.Observe.
-			if served > d+1e-9 {
-				return fmt.Errorf("sim: fold [%d,%d): served %v exceeds offered %v", t+i, t+j, served, d)
-			}
-			if d-served > 1e-9 {
-				violation += dt
-			}
-			demandInt.Add(d * dt)
-			servedInt.Add(served * dt)
-			i = j
+		demandInt, servedInt, violation, err := fold.FoldWindow(window)
+		if err != nil {
+			return fmt.Errorf("sim: fold span at %d: %w", t, err)
 		}
 		e, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}
 		res.addEnergy(t, e+rep.Energy)
-		if err := res.QoS.ObserveSpan(float64(next-t), demandInt.Sum(), servedInt.Sum(), violation); err != nil {
+		if err := res.QoS.ObserveSpan(float64(next-t), demandInt, servedInt, violation); err != nil {
 			return err
 		}
 		t = next

@@ -82,8 +82,8 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 	}
 
 	// All four scenarios on one raw segment. The upper/lower bounds run
-	// their (already per-event-O(1)) event paths under the integrator
-	// option; BML runs the demand fold. Sweep also exercises the engines
+	// their day-span kernels under the integrator option; BML runs the
+	// demand fold. Sweep also exercises the engines
 	// under concurrency, keeping the suite race-clean by construction.
 	t.Run("four-scenarios", func(t *testing.T) {
 		t.Parallel()

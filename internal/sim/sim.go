@@ -30,7 +30,10 @@
 // independent of fleet size: the cluster indexes pending transitions in a
 // min-heap and integrates each pool's On fleet in closed form from its
 // fill-first load shape, so thousand-node runs pay per event for the
-// architectures and the machines mid-transition, not for the fleet.
+// architectures and the machines mid-transition, not for the fleet. The
+// three bound scenarios need no scheduler: under every engine but tick they
+// run day-span kernels (engine.go) that size the fleet once per day and
+// fold the day's samples run by run, with the same bit-exact arithmetic.
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -284,7 +287,9 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 
 // RunBML simulates the heterogeneous infrastructure under the proactive
 // scheduler over tr, using the planner's candidate classes and combination
-// table. The event-driven engine is used unless WithTickEngine is given.
+// table. The interval integrator is used unless WithEventEngine or
+// WithTickEngine selects an oracle engine (or cfg.ScanIndex forces the
+// per-sample event path).
 func RunBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, error) {
 	res, _, err := runBML(tr, planner, cfg, false, opts)
 	return res, err
@@ -390,9 +395,7 @@ func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, name string, o options) (*Result, error) {
 	res := newResult(name, tr.Days())
 	if o.engine != engineTick {
-		if err := runHomogeneousEvent(tr, arch, sizeForDay, res); err != nil {
-			return nil, err
-		}
+		foldHomogeneous(tr, arch, sizeForDay, res)
 		res.finalize()
 		return res, nil
 	}
@@ -401,7 +404,7 @@ func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(da
 		n := sizeForDay(day)
 		demand := tr.At(t)
 		served := math.Min(demand, float64(n)*arch.MaxPerf)
-		total := fleetPowerN(arch, n, served)
+		total := fleetPowerN(&arch, n, served)
 		idle := float64(n) * float64(arch.IdlePower)
 		res.Breakdown.Idle += power.Joules(idle)
 		res.Breakdown.Dynamic += power.Joules(total - idle)
@@ -416,7 +419,7 @@ func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(da
 
 // fleetPowerN returns the draw of n always-on nodes of arch serving load
 // packed onto as few nodes as possible; unused nodes idle.
-func fleetPowerN(arch profile.Arch, n int, load float64) float64 {
+func fleetPowerN(arch *profile.Arch, n int, load float64) float64 {
 	full := int(load / arch.MaxPerf)
 	if full > n {
 		full = n
@@ -446,7 +449,7 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 	}
 	res := newResult("LowerBound Theoretical", tr.Days())
 	if o.engine != engineTick {
-		if err := runLowerBoundEvent(tr, solver, res); err != nil {
+		if err := foldLowerBound(tr, solver, res); err != nil {
 			return nil, err
 		}
 		res.finalize()

@@ -108,7 +108,7 @@ func TestRunUpperBoundGlobalSizing(t *testing.T) {
 	_ = first
 	var manual float64
 	for i := 0; i < tr.Len(); i++ {
-		manual += fleetPowerN(fastArchs()[0], 3, tr.At(i))
+		manual += fleetPowerN(&fastArchs()[0], 3, tr.At(i))
 	}
 	if math.Abs(float64(res.TotalEnergy)-manual) > 1e-6 {
 		t.Errorf("UB global energy = %v, want %v", res.TotalEnergy, manual)
@@ -308,7 +308,7 @@ func TestFleetPowerN(t *testing.T) {
 		{0, 50, 0},
 	}
 	for _, c := range cases {
-		if got := fleetPowerN(arch, c.n, c.load); math.Abs(got-c.want) > 1e-9 {
+		if got := fleetPowerN(&arch, c.n, c.load); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("fleetPowerN(%d, %v) = %v, want %v", c.n, c.load, got, c.want)
 		}
 	}

@@ -189,8 +189,10 @@ func (t *Trace) SlidingMax(width int) ([]float64, error) {
 		return out, nil
 	}
 	// Backward pass, block by block: suffix[i] = max of
-	// values[i .. end of i's block].
-	suffix := make([]float64, n)
+	// values[i .. end of i's block]. The forward pass reads suffix[i] only
+	// at step i, just before it writes out[i], so out doubles as the
+	// suffix buffer and the predictor build allocates one array, not two.
+	suffix := out
 	for start := ((n - 1) / width) * width; start >= 0; start -= width {
 		end := start + width
 		if end > n {
@@ -261,6 +263,18 @@ func (t *Trace) NextChange(i int) int {
 		}
 	}
 	return n
+}
+
+// RunEnd returns the end of the run of equal samples that starts at w[i]:
+// the first j > i with w[j] != w[i], or len(w). The run-by-run kernels fold
+// each run with one evaluation of the model at w[i].
+func RunEnd(w []float64, i int) int {
+	v := w[i]
+	j := i + 1
+	for j < len(w) && w[j] == v {
+		j++
+	}
+	return j
 }
 
 // Window returns a read-only view of the samples in [from, to), clamping
