@@ -149,14 +149,13 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 // The bound scenarios' fast path is a day-span fold in the integrator's
 // shape. Their model changes only at day edges (the fleet size) and at
 // load changes (the draw), so each day computes its sizing once and walks
-// tr.Window(day) one run of equal samples at a time. Each run evaluates
-// the same expressions in the same order as the tick oracle's seconds
-// would in aggregate (one closed-form energy per run), and the running
-// sums — total and daily energy as Neumaier pairs, the breakdown, and the
-// QoS sums — live in locals and are written back once per day. A run's
-// additions are therefore exactly those a per-run interval loop would
-// make, so results keep their bits (TestResultBitsPinned) and stay within
-// ≤1e-6 J of the tick oracle.
+// tr.Window(day) one run of equal samples at a time. A run is one
+// closed-form evaluation (draw × run length) and makes one addition to
+// each running sum, in run order: total and daily energy as Neumaier
+// pairs, the breakdown, and the QoS sums. The sums live in locals and are
+// written back once per day, which leaves them exactly as per-run writes
+// would. TestResultBitsPinned pins the resulting bits; the differential
+// suites hold them within 1e-6 J of the tick oracle.
 
 // daySums is one day's slice of a Result's running sums, held in locals by
 // the day-span kernels: the total and daily energy as Neumaier pairs and
@@ -199,7 +198,7 @@ func foldHomogeneous(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int
 			demand := w[i]
 			j := trace.RunEnd(w, i)
 			dt := float64(j - i)
-			served := math.Min(demand, capacity)
+			served := min(demand, capacity)
 			total := fleetPowerN(&arch, nodes, served)
 			bIdle += idle * dt
 			bDyn += (total - idle) * dt
