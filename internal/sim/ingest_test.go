@@ -22,9 +22,11 @@ func gridAndRecords(t *testing.T) ([]SweepJob, []CellRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []CellRecord
+	// SweepStream emits in completion order; the tests index records by
+	// grid position (recs[i] is jobs[i]'s cell), so place them by job index.
+	recs := make([]CellRecord, len(jobs))
 	err = SweepStream(jobs, 0, func(r SweepResult) error {
-		recs = append(recs, NewCellRecord(r))
+		recs[r.Index] = NewCellRecord(r)
 		return nil
 	})
 	if err != nil {
