@@ -237,12 +237,14 @@ func foldLowerBound(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error
 			e := float64(p) * dt
 			s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, e)
 			s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, e)
-			// Served equals offered, so the run never violates QoS.
+			// The ideal fleet serves every request: the run never violates
+			// QoS, and the served integral receives exactly the demand
+			// integral's additions, so it is copied rather than re-summed.
 			s.qos.Seconds += dt
 			s.qos.Demand.Add(demand * dt)
-			s.qos.Served.Add(demand * dt)
 			i = j
 		}
+		s.qos.Served = s.qos.Demand
 		res.commitDay(d, s)
 	}
 	return nil
