@@ -256,13 +256,7 @@ func (t *Trace) NextChange(i int) int {
 	if i >= n {
 		return n
 	}
-	v := t.values[i]
-	for u := i + 1; u < n; u++ {
-		if t.values[u] != v {
-			return u
-		}
-	}
-	return n
+	return RunEnd(t.values, i)
 }
 
 // RunEnd returns the end of the run of equal samples that starts at w[i]:
