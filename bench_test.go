@@ -446,7 +446,8 @@ func BenchmarkEngineMonthTrace(b *testing.B) { benchEngines(b, 30) }
 
 // BenchmarkEngineMonthAllScenarios runs the whole four-scenario evaluation
 // (the Figure 5 workload) on the 300 s-quantized month with the default
-// engines, fanned out across cores by RunAll.
+// engines: RunAll runs the three bounds in one fused pass concurrently with
+// BML.
 func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 	benchAllScenarios(b, engineBenchTrace(b, 30))
 }
@@ -457,6 +458,38 @@ func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 // run.
 func BenchmarkEngineMonthAllScenariosRaw(b *testing.B) {
 	benchAllScenarios(b, engineBenchTraceRaw(b, 30))
+}
+
+// BenchmarkEngineMonthBoundsRaw times the three bound scenarios on the raw
+// 1 Hz month two ways: separate runs the three single-scenario calls in
+// sequence (three walks of the trace), fused runs sim.RunBounds (one walk
+// shared by the three). The benchcheck ratio gate holds fused ≥1.3×
+// separate.
+func BenchmarkEngineMonthBoundsRaw(b *testing.B) {
+	tr := engineBenchTraceRaw(b, 30)
+	planner := getPlanner(b)
+	b.Run("separate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.RunUpperBoundGlobal(tr, planner.Big()); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.RunUpperBoundPerDay(tr, planner.Big()); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.RunLowerBound(tr, planner.Candidates()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.RunBounds(tr, planner); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func benchAllScenarios(b *testing.B, tr *trace.Trace) {

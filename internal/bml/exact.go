@@ -136,13 +136,28 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 	return t
 }
 
+// scaled returns rate in (fractional) grid units. A unit step, the
+// LowerBound solver's, skips the division: x/1 == x exactly in IEEE
+// arithmetic.
+func (t *exactTable) scaled(rate float64) float64 {
+	if t.step == 1 {
+		return rate
+	}
+	return rate / t.step
+}
+
 // units converts a rate to grid units, rounding up (a fractional residual
 // demand still needs capacity for the full unit).
 func (t *exactTable) units(rate float64) int {
 	if rate <= 0 {
 		return 0
 	}
-	k := int(math.Ceil(rate/t.step - 1e-9))
+	return t.unitsOf(t.scaled(rate))
+}
+
+// unitsOf is units for a positive rate already scaled to grid units.
+func (t *exactTable) unitsOf(exact float64) int {
+	k := int(math.Ceil(exact - 1e-9))
 	if k > len(t.cost)-1 {
 		k = len(t.cost) - 1
 	}
@@ -157,21 +172,53 @@ func (t *exactTable) units(rate float64) int {
 // two grid points is a concave lower envelope, and the chord never exceeds
 // it — so interpolation keeps the value a valid lower bound.
 func (t *exactTable) powerAt(rate float64) float64 {
-	if rate <= 0 {
-		return 0
+	var p [1]power.Watts
+	t.powersAt([]float64{rate}, p[:])
+	return float64(p[0])
+}
+
+// powersAt sets out[i] = powerAt(rates[i]) for every rate. It is the one
+// implementation of the lookup: a loop keeps the lookup inline, where one
+// call per rate would cost more than the lookup itself. The rates are
+// scaled to grid units a block at a time, so that the step test stays out
+// of the lookup loop; a unit step (the LowerBound solver's) needs no
+// scaling at all.
+func (t *exactTable) powersAt(rates []float64, out []power.Watts) {
+	if t.step == 1 {
+		t.lookup(rates, out)
+		return
 	}
-	exact := rate / t.step
-	k1 := t.units(rate)
-	k0 := k1 - 1
-	if k0 < 0 || float64(k1) <= exact {
-		return t.cost[k1]
+	var buf [64]float64
+	for len(rates) > 0 {
+		n := min(len(rates), len(buf))
+		for i, rate := range rates[:n] {
+			buf[i] = rate / t.step
+		}
+		t.lookup(buf[:n], out[:n])
+		rates, out = rates[n:], out[n:]
 	}
-	frac := exact - float64(k0)
-	c0, c1 := t.cost[k0], t.cost[k1]
-	if math.IsInf(c0, 1) || math.IsInf(c1, 1) {
-		return t.cost[k1]
+}
+
+// lookup sets out[i] to the optimal power at exacts[i] grid units. A rate
+// of at most zero needs no power.
+func (t *exactTable) lookup(exacts []float64, out []power.Watts) {
+	out = out[:len(exacts)]
+	cost := t.cost
+	for i, exact := range exacts {
+		var p float64
+		if exact > 0 {
+			k1 := t.unitsOf(exact)
+			p = cost[k1]
+			if k0 := k1 - 1; k0 >= 0 && float64(k1) > exact {
+				c0, c1 := cost[k0], cost[k1]
+				if !math.IsInf(c0, 1) && !math.IsInf(c1, 1) {
+					frac := exact - float64(k0)
+					p = c0 + frac*(c1-c0)
+				}
+			}
+		}
+		out[i] = power.Watts(p)
 	}
-	return c0 + frac*(c1-c0)
 }
 
 // combinationAt reconstructs the optimal multiset for the given rate.
@@ -242,6 +289,14 @@ func NewExactSolver(candidates []profile.Arch, maxRate, step float64) (*ExactSol
 // range). Infinite results (rate not coverable) are reported as +Inf watts.
 func (s *ExactSolver) PowerAt(rate float64) power.Watts {
 	return power.Watts(s.t.powerAt(rate))
+}
+
+// PowersAt sets out[i] to PowerAt(rates[i]) for every rate, bit for bit,
+// at a fraction of the cost of one call per rate: the form for callers that
+// look up many rates in a row, such as the LowerBound fold. out must be at
+// least as long as rates.
+func (s *ExactSolver) PowersAt(rates []float64, out []power.Watts) {
+	s.t.powersAt(rates, out)
 }
 
 // CombinationAt reconstructs the optimal machine multiset for rate.

@@ -277,3 +277,74 @@ func TestPropertyReconfigurationCostSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// divUnits and divPowerAt are exactTable.units and powerAt in their
+// division form, (rate / step) evaluated on every lookup: the reference
+// the unit-step shortcut must reproduce bit for bit.
+func divUnits(t *exactTable, rate float64) int {
+	if rate <= 0 {
+		return 0
+	}
+	k := int(math.Ceil(rate/t.step - 1e-9))
+	if k > len(t.cost)-1 {
+		k = len(t.cost) - 1
+	}
+	return k
+}
+
+func divPowerAt(t *exactTable, rate float64) float64 {
+	if rate <= 0 {
+		return 0
+	}
+	exact := rate / t.step
+	k1 := divUnits(t, rate)
+	k0 := k1 - 1
+	if k0 < 0 || float64(k1) <= exact {
+		return t.cost[k1]
+	}
+	frac := exact - float64(k0)
+	c0, c1 := t.cost[k0], t.cost[k1]
+	if math.IsInf(c0, 1) || math.IsInf(c1, 1) {
+		return t.cost[k1]
+	}
+	return c0 + frac*(c1-c0)
+}
+
+// On a unit step the exact table skips the division by its step; x/1 == x
+// in IEEE arithmetic, so every lookup must keep the division form's bits:
+// random fractional rates, exact integers, zero, sub-unit rates, and rates
+// beyond the table's maximum.
+func TestPropertyUnitStepMatchesDivision(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maxRate := 50 + 2000*rng.Float64()
+		s, err := NewExactSolver(randomCatalog(seed, 1+rng.Intn(4)), maxRate, 1)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		tab := s.t
+		rates := []float64{0, math.Copysign(0, -1), -1, 1, maxRate, math.Floor(maxRate), math.Ceil(maxRate), 10 * maxRate, math.Nextafter(1, 0), 1e-12}
+		for i := 0; i < 200; i++ {
+			rates = append(rates,
+				rng.Float64()*maxRate*1.1,       // fractional, some above the maximum
+				float64(rng.Intn(int(maxRate))), // exact integers
+				rng.Float64(),                   // sub-unit
+				math.Nextafter(float64(1+rng.Intn(int(maxRate))), 0))
+		}
+		for _, r := range rates {
+			if got, want := tab.units(r), divUnits(tab, r); got != want {
+				t.Logf("seed %d: units(%v) = %d, division form %d", seed, r, got, want)
+				return false
+			}
+			if got, want := tab.powerAt(r), divPowerAt(tab, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d: powerAt(%v) = %v, division form %v", seed, r, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}

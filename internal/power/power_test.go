@@ -429,3 +429,69 @@ func TestWattmeterRejectsNegativePower(t *testing.T) {
 		t.Error("negative power accepted")
 	}
 }
+
+// absNeumaierAdd is NeumaierAdd with its branch written through math.Abs,
+// the textbook form the bit-pattern comparison must reproduce.
+func absNeumaierAdd(sum, comp, v float64) (float64, float64) {
+	t := sum + v
+	if math.Abs(sum) >= math.Abs(v) {
+		comp += (sum - t) + v
+	} else {
+		comp += (v - t) + sum
+	}
+	return t, comp
+}
+
+// NeumaierAdd's magnitude comparison on bit patterns must give the
+// math.Abs form's bits for every non-NaN input: signed zeros, subnormals,
+// infinities, equal magnitudes of opposite sign, and random values across
+// the whole exponent range. Plus must fold exactly as Add does.
+func TestNeumaierAddMatchesAbsForm(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, -0x1p-1022, 1, -1, 1e-9, 3.5, -3.5, 1e300, -1e300,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+	}
+	same := func(sum, comp, v float64) bool {
+		gs, gc := NeumaierAdd(sum, comp, v)
+		ws, wc := absNeumaierAdd(sum, comp, v)
+		if math.Float64bits(gs) != math.Float64bits(ws) || math.Float64bits(gc) != math.Float64bits(wc) {
+			if math.IsNaN(gc) && math.IsNaN(wc) && math.Float64bits(gs) == math.Float64bits(ws) {
+				return true // inf - inf: both forms yield a NaN compensation
+			}
+			t.Errorf("NeumaierAdd(%v, %v, %v) = (%v, %v), math.Abs form (%v, %v)", sum, comp, v, gs, gc, ws, wc)
+			return false
+		}
+		return true
+	}
+	for _, a := range special {
+		for _, b := range special {
+			for _, c := range []float64{0, 1e-17, -2.5e-13} {
+				same(a, c, b)
+			}
+		}
+	}
+	f := func(sumBits, vBits uint64, comp float64) bool {
+		sum, v := math.Float64frombits(sumBits), math.Float64frombits(vBits)
+		if math.IsNaN(sum) || math.IsNaN(v) || math.IsNaN(comp) {
+			return true
+		}
+		return same(sum, comp, v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+
+	var add Accumulator
+	plus := Accumulator{}
+	for i, v := range special {
+		if math.IsInf(v, 0) || math.Abs(v) > 1e100 {
+			continue
+		}
+		add.Add(v * float64(i))
+		plus = plus.Plus(v * float64(i))
+		if add != plus {
+			t.Fatalf("after %d values Plus gives %+v, Add %+v", i+1, plus, add)
+		}
+	}
+}

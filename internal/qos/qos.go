@@ -30,11 +30,11 @@ type Tracker struct {
 }
 
 // Fold is a copy of a Tracker's running sums. A simulation kernel that
-// accounts many intervals in a tight loop copies the sums out with
-// StartFold, keeps them in locals, and copies them back with CommitFold,
-// instead of paying a validated Observe call per interval. To leave the
-// tracker exactly as per-interval Observe calls would, the kernel must
-// uphold Observe's preconditions and make Observe's additions, in order:
+// accounts many intervals of a fresh tracker in a tight loop keeps the sums
+// in locals and writes them back with CommitFold, instead of paying a
+// validated Observe call per interval. To leave the tracker exactly as
+// per-interval Observe calls would, the kernel must uphold Observe's
+// preconditions and make Observe's additions, in order:
 //
 //	f.Seconds += dt
 //	f.Demand.Add(offered * dt)
@@ -47,10 +47,7 @@ type Fold struct {
 	Served           power.Accumulator // integral of served load
 }
 
-// StartFold copies the tracker's running sums out for a kernel to fold into.
-func (t *Tracker) StartFold() Fold { return t.sums }
-
-// CommitFold writes back sums obtained from StartFold.
+// CommitFold sets the tracker's running sums to a kernel's fold.
 func (t *Tracker) CommitFold(f Fold) { t.sums = f }
 
 // Observe records one interval of dt seconds with the given offered and

@@ -106,7 +106,8 @@ func TestResultBitsPinned(t *testing.T) {
 		"overhead-aware": {OverheadAware: true},
 	}
 	got := map[string]pinnedResult{}
-	for trName, tr := range bitPinTraces(t) {
+	traces := bitPinTraces(t)
+	for trName, tr := range traces {
 		for _, run := range []struct {
 			name string
 			fn   func() (*Result, error)
@@ -166,6 +167,25 @@ func TestResultBitsPinned(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: result bits changed\n got %+v\nwant %+v", name, g, w)
+		}
+	}
+	// RunAll's fused bounds and its concurrent BML leg reproduce the pinned
+	// single-scenario bits.
+	for trName, tr := range traces {
+		set, err := RunAll(tr, planner, configs["default"])
+		if err != nil {
+			t.Fatalf("%s/RunAll: %v", trName, err)
+		}
+		for leg, res := range map[string]*Result{
+			"ub-global":   set.UpperBoundGlobal,
+			"ub-perday":   set.UpperBoundPerDay,
+			"lowerbound":  set.LowerBound,
+			"bml-default": set.BML,
+		} {
+			name := trName + "/" + leg
+			if g, w := pinResult(res), want[name]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: RunAll result bits differ from the pinned ones\n got %+v\nwant %+v", name, g, w)
+			}
 		}
 	}
 }

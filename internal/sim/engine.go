@@ -18,8 +18,8 @@ type Option func(*options)
 
 // engineKind selects one of the three BML execution engines. The static
 // scenarios (upper/lower bounds) only distinguish tick from non-tick: every
-// non-tick engine runs them through the day-span kernels below
-// (foldHomogeneous, foldLowerBound).
+// non-tick engine runs them through the one day-span kernel below
+// (boundsFold), which folds any subset of the three in a single walk.
 type engineKind int
 
 const (
@@ -146,106 +146,232 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 	return nil
 }
 
-// The bound scenarios' fast path is a day-span fold in the integrator's
-// shape. Their model changes only at day edges (the fleet size) and at
-// load changes (the draw), so each day computes its sizing once and walks
-// tr.Window(day) one run of equal samples at a time. A run is one
-// closed-form evaluation (draw × run length) and makes one addition to
-// each running sum, in run order: total and daily energy as Neumaier
-// pairs, the breakdown, and the QoS sums. The sums live in locals and are
-// written back once per day, which leaves them exactly as per-run writes
-// would. TestResultBitsPinned pins the resulting bits; the differential
-// suites hold them within 1e-6 J of the tick oracle.
+// The bound scenarios' fast path is one day-span fold in the integrator's
+// shape, shared by every bound leg a call asks for. Their models change
+// only at day edges (the fleet size) and at load changes (the draw), so
+// each day sizes every leg once and walks tr.Window(day) one run of equal
+// samples at a time. A run is one closed-form evaluation per leg (draw ×
+// run length) and makes one addition to each running sum, in run order:
+// total and daily energy as Neumaier pairs, the breakdown, and the QoS
+// sums. The sums live in locals while a leg folds a chunk of runs and are
+// written back to the Result once per day, which leaves them exactly as
+// per-run writes would.
+//
+// Folding the legs together shares only work that is bit-identical by
+// construction: the run detection, the QoS seconds and demand sums (every
+// leg makes the same additions to them), and the fill-first packing of the
+// demand, which the two homogeneous legs evaluate identically up to their
+// own idle tail. TestResultBitsPinned pins the resulting bits;
+// TestRunAllMatchesSequentialRuns holds the fused legs to the single-leg
+// calls bit for bit; the differential suites hold them within 1e-6 J of
+// the tick oracle.
 
-// daySums is one day's slice of a Result's running sums, held in locals by
-// the day-span kernels: the total and daily energy as Neumaier pairs and
-// the QoS sums.
-type daySums struct {
+// energySums is one leg's energy for the day, held in locals: the total and
+// daily energy as Neumaier pairs.
+type energySums struct {
 	total, totalComp float64
 	daily, dailyComp float64
-	qos              qos.Fold
 }
 
-// startDay copies the running sums the kernels fold into out of r.
-func (r *Result) startDay() daySums {
-	return daySums{total: float64(r.TotalEnergy), totalComp: r.totalComp, qos: r.QoS.StartFold()}
+// startDay copies the energy sums the kernel folds into out of r.
+func (r *Result) startDay() energySums {
+	return energySums{total: float64(r.TotalEnergy), totalComp: r.totalComp}
 }
 
 // commitDay writes day d's sums back: the total and QoS always, the daily
 // bucket only for complete days (a trailing partial day has none, exactly
 // as addEnergy leaves it uncredited).
-func (r *Result) commitDay(d int, s daySums) {
+func (r *Result) commitDay(d int, s energySums, q qos.Fold) {
 	r.TotalEnergy, r.totalComp = power.Joules(s.total), s.totalComp
 	if d < len(r.DailyEnergy) {
 		r.DailyEnergy[d], r.dailyComp[d] = power.Joules(s.daily), s.dailyComp
 	}
-	r.QoS.CommitFold(s.qos)
+	r.QoS.CommitFold(q)
 }
 
-// foldHomogeneous integrates a homogeneous fleet whose size is a per-day
-// constant: per run, the served load is the demand clamped to the day's
+// runChunk holds up to chunkRuns consecutive runs of equal samples as the
+// bound legs see them, one array per field: the demand, the run length,
+// and what the legs derive from the demand alone (its fill-first packing
+// onto the homogeneous class, the LowerBound's optimal power).
+type runChunk struct {
+	n      int
+	demand [chunkRuns]float64
+	dt     [chunkRuns]float64
+	pk     [chunkRuns]packing
+	power  [chunkRuns]power.Watts
+}
+
+// chunkRuns is how many runs the kernel detects before the legs fold them:
+// small enough for a buffer that stays in cache, large enough that each
+// leg's loop runs long with its sums in registers.
+const chunkRuns = 256
+
+// homLeg is one homogeneous bound scenario (UB Global or UB PerDay) inside
+// a bounds fold: a fleet of always-on nodes whose size is a per-day
+// constant. Per run, the served load is the demand clamped to the day's
 // capacity and the draw is fleetPowerN's fill-first packing.
-func foldHomogeneous(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, res *Result) {
-	idleW := float64(arch.IdlePower)
-	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
-		nodes := sizeForDay(d)
-		capacity := float64(nodes) * arch.MaxPerf
-		idle := float64(nodes) * idleW
-		bIdle, bDyn := float64(res.Breakdown.Idle), float64(res.Breakdown.Dynamic)
-		s := res.startDay()
-		w := tr.Window(start, start+trace.SecondsPerDay)
-		for i := 0; i < len(w); {
-			demand := w[i]
-			j := trace.RunEnd(w, i)
-			dt := float64(j - i)
-			served := min(demand, capacity)
-			total := fleetPowerN(&arch, nodes, served)
-			bIdle += idle * dt
-			bDyn += (total - idle) * dt
-			e := total * dt
-			s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, e)
-			s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, e)
-			s.qos.Seconds += dt
-			s.qos.Demand.Add(demand * dt)
-			s.qos.Served.Add(served * dt)
-			if demand-served > qos.Slack {
-				s.qos.ViolationSeconds += dt
-			}
-			i = j
-		}
-		res.Breakdown.Idle, res.Breakdown.Dynamic = power.Joules(bIdle), power.Joules(bDyn)
-		res.commitDay(d, s)
-	}
+type homLeg struct {
+	res  *Result
+	size func(day int) int
+	// q is the leg's QoS fold. Its seconds and demand sums are the
+	// kernel's shared ones; its served sum is too while servedIsDemand
+	// holds, that is while no day's peak has exceeded the leg's capacity,
+	// so that every run has served exactly its demand.
+	q              qos.Fold
+	servedIsDemand bool
+
+	// The day's sizing and sums.
+	n              int
+	capacity, idle float64
+	clamps         bool // the day's peak exceeds capacity
+	bIdle, bDyn    float64
+	e              energySums
 }
 
-// foldLowerBound integrates the theoretical optimum: the ideal
-// combination's power is a pure function of the instantaneous load, and
-// the ideal fleet serves all of it. A load the solver cannot cover (an
+func (l *homLeg) startDay(arch *profile.Arch, d int, peak float64) {
+	l.n = l.size(d)
+	l.capacity = float64(l.n) * arch.MaxPerf
+	l.idle = float64(l.n) * float64(arch.IdlePower)
+	// On a day whose peak fits the capacity, min(demand, capacity) is the
+	// demand itself, bit for bit: every run is served in full.
+	l.clamps = peak > l.capacity
+	if l.clamps {
+		l.servedIsDemand = false
+	}
+	l.bIdle, l.bDyn = float64(l.res.Breakdown.Idle), float64(l.res.Breakdown.Dynamic)
+	l.e = l.res.startDay()
+}
+
+// fold folds a chunk of runs into the leg, in run order.
+func (l *homLeg) fold(arch *profile.Arch, c *runChunk) {
+	n, capacity, idle := l.n, l.capacity, l.idle
+	bIdle, bDyn, e, served, violation := l.bIdle, l.bDyn, l.e, l.q.Served, l.q.ViolationSeconds
+	demands, dts, pks := c.demand[:c.n], c.dt[:c.n], c.pk[:c.n]
+	for r, demand := range demands {
+		dt := dts[r]
+		var total float64
+		if l.clamps {
+			s := min(demand, capacity)
+			total = fleetPowerN(arch, n, s)
+			served = served.Plus(s * dt)
+			if demand-s > qos.Slack {
+				violation += dt
+			}
+		} else {
+			// The run is served in full: fleetPowerN(arch, n, demand) is
+			// the shared packing's draw on n nodes.
+			total = pks[r].draw(arch, n)
+			if !l.servedIsDemand {
+				served = served.Plus(demand * dt)
+			}
+		}
+		bIdle += idle * dt
+		bDyn += (total - idle) * dt
+		en := total * dt
+		e.total, e.totalComp = power.NeumaierAdd(e.total, e.totalComp, en)
+		e.daily, e.dailyComp = power.NeumaierAdd(e.daily, e.dailyComp, en)
+	}
+	l.bIdle, l.bDyn, l.e, l.q.Served, l.q.ViolationSeconds = bIdle, bDyn, e, served, violation
+}
+
+// commitDay writes day d back to the leg's Result, taking the seconds and
+// demand sums from the kernel's shared fold.
+func (l *homLeg) commitDay(d int, shared qos.Fold) {
+	l.q.Seconds, l.q.Demand = shared.Seconds, shared.Demand
+	if l.servedIsDemand {
+		l.q.Served = shared.Demand
+	}
+	l.res.Breakdown.Idle, l.res.Breakdown.Dynamic = power.Joules(l.bIdle), power.Joules(l.bDyn)
+	l.res.commitDay(d, l.e, l.q)
+}
+
+// foldLowerBound folds a chunk of runs into the LowerBound leg's energy,
+// whose power the chunk already holds. A load the solver cannot cover (an
 // infinite optimum) is an error.
-func foldLowerBound(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
+func foldLowerBound(c *runChunk, e *energySums) error {
+	s := *e
+	dts := c.dt[:c.n]
+	for r, p := range c.power[:c.n] {
+		if !p.IsValid() {
+			return power.ErrNegativePower
+		}
+		en := float64(p) * dts[r]
+		s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, en)
+		s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, en)
+	}
+	*e = s
+	return nil
+}
+
+// boundsFold folds any subset of the three bound scenarios over one walk
+// of a trace. Its Results must be fresh: the shared QoS sums start at zero.
+type boundsFold struct {
+	arch profile.Arch // the homogeneous legs' class
+	hom  []homLeg
+	// lower is the LowerBound leg, nil when not folded. The ideal fleet
+	// serves every request, so the leg's QoS is the shared fold.
+	lower  *Result
+	solver *bml.ExactSolver
+}
+
+// run walks tr day by day; peaks[d] is the peak of day window d (the
+// trailing partial day included). Each day's runs are detected a chunk at
+// a time, with the shared sums folded on the way; then what the legs derive
+// from the demand alone is computed for the whole chunk, and every leg
+// folds the chunk in its own loop.
+func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
+	arch := &k.arch
+	var (
+		// The QoS seconds and demand sums every leg shares, as plain
+		// locals so that they stay in registers.
+		seconds   float64
+		demandSum power.Accumulator
+		lower     energySums
+		c         runChunk
+	)
 	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
-		s := res.startDay()
+		for h := range k.hom {
+			k.hom[h].startDay(arch, d, peaks[d])
+		}
+		if k.lower != nil {
+			lower = k.lower.startDay()
+		}
 		w := tr.Window(start, start+trace.SecondsPerDay)
 		for i := 0; i < len(w); {
-			demand := w[i]
-			j := trace.RunEnd(w, i)
-			dt := float64(j - i)
-			p := solver.PowerAt(demand)
-			if !p.IsValid() {
-				return power.ErrNegativePower
+			n := 0
+			for ; i < len(w) && n < chunkRuns; n++ {
+				j := trace.RunEnd(w, i)
+				dt := float64(j - i)
+				seconds += dt
+				demandSum = demandSum.Plus(w[i] * dt)
+				c.demand[n], c.dt[n] = w[i], dt
+				i = j
 			}
-			e := float64(p) * dt
-			s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, e)
-			s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, e)
-			// The ideal fleet serves every request: the run never violates
-			// QoS, and the served integral receives exactly the demand
-			// integral's additions, so it is copied rather than re-summed.
-			s.qos.Seconds += dt
-			s.qos.Demand.Add(demand * dt)
-			i = j
+			c.n = n
+			if len(k.hom) > 0 {
+				for r, demand := range c.demand[:c.n] {
+					c.pk[r] = fillFirst(arch, demand)
+				}
+				for h := range k.hom {
+					k.hom[h].fold(arch, &c)
+				}
+			}
+			if k.lower != nil {
+				k.solver.PowersAt(c.demand[:c.n], c.power[:])
+				if err := foldLowerBound(&c, &lower); err != nil {
+					return err
+				}
+			}
 		}
-		s.qos.Served = s.qos.Demand
-		res.commitDay(d, s)
+		q := qos.Fold{Seconds: seconds, Demand: demandSum}
+		for h := range k.hom {
+			k.hom[h].commitDay(d, q)
+		}
+		if k.lower != nil {
+			lq := q
+			lq.Served = q.Demand
+			k.lower.commitDay(d, lower, lq)
+		}
 	}
 	return nil
 }

@@ -229,35 +229,33 @@ func Sweep(jobs []SweepJob, workers int) []SweepResult {
 	return out
 }
 
-// RunAll executes all four scenarios concurrently — each is independent,
-// so the evaluation's wall time drops to the slowest scenario (the BML
-// run). It returns the first error encountered.
+// RunAll executes all four scenarios as two concurrent legs: the three
+// bounds in one fused walk of the trace (RunBounds), and BML (RunBML). The
+// legs are independent and cost about the same on a raw trace, so on two
+// cores the evaluation's wall time is about the slower leg's. Every result
+// is bit-identical to its single-scenario Run call. It returns the bounds'
+// error first, then BML's.
 func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*ScenarioSet, error) {
 	if tr == nil || planner == nil {
 		return nil, errors.New("sim: nil trace or planner")
 	}
-	jobs := []SweepJob{
-		{Name: "ub-global", Trace: tr, Planner: planner, Scenario: ScenarioUpperBoundGlobal, Options: opts},
-		{Name: "ub-perday", Trace: tr, Planner: planner, Scenario: ScenarioUpperBoundPerDay, Options: opts},
-		{Name: "bml", Trace: tr, Planner: planner, Scenario: ScenarioBML, BML: cfg, Options: opts},
-		{Name: "lowerbound", Trace: tr, Planner: planner, Scenario: ScenarioLowerBound, Options: opts},
+	var (
+		bmlRes *Result
+		bmlErr error
+		done   = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		bmlRes, bmlErr = RunBML(tr, planner, cfg, opts...)
+	}()
+	set, err := RunBounds(tr, planner, opts...)
+	<-done
+	if err != nil {
+		return nil, err
 	}
-	results := Sweep(jobs, len(jobs))
-	var set ScenarioSet
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		switch jobs[i].Scenario {
-		case ScenarioUpperBoundGlobal:
-			set.UpperBoundGlobal = r.Result
-		case ScenarioUpperBoundPerDay:
-			set.UpperBoundPerDay = r.Result
-		case ScenarioBML:
-			set.BML = r.Result
-		case ScenarioLowerBound:
-			set.LowerBound = r.Result
-		}
+	if bmlErr != nil {
+		return nil, bmlErr
 	}
-	return &set, nil
+	set.BML = bmlRes
+	return set, nil
 }

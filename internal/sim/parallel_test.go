@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,29 +12,65 @@ import (
 	"repro/internal/trace"
 )
 
+// RunAll folds the three bounds in one shared walk and runs BML beside it;
+// every result must keep the exact bits of its single-scenario Run call,
+// under the default engine and under the tick oracle. The second trace's
+// trailing partial day outgrows the last complete day's UB PerDay fleet, so
+// that leg loses requests and takes the fold's per-leg path.
 func TestRunAllMatchesSequentialRuns(t *testing.T) {
-	tr := dayTrace(t, 1, 250)
 	planner := fastPlanner(t)
-	set, err := RunAll(tr, planner, BMLConfig{})
+	raw, err := rawWCDays(t, 3).Slice(0, 2*trace.SecondsPerDay+trace.SecondsPerDay/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqBML, err := RunBML(tr, planner, BMLConfig{})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]float64, trace.SecondsPerDay+trace.SecondsPerDay/2)
+	for i := range vals {
+		if i < trace.SecondsPerDay {
+			vals[i] = 40 + 20*rng.Float64()
+		} else {
+			vals[i] = 100 + 50*rng.Float64()
+		}
 	}
-	seqLB, err := RunLowerBound(tr, planner.Candidates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.BML.TotalEnergy != seqBML.TotalEnergy {
-		t.Errorf("parallel BML %v != sequential %v", set.BML.TotalEnergy, seqBML.TotalEnergy)
-	}
-	if set.LowerBound.TotalEnergy != seqLB.TotalEnergy {
-		t.Errorf("parallel LB %v != sequential %v", set.LowerBound.TotalEnergy, seqLB.TotalEnergy)
-	}
-	if set.UpperBoundGlobal == nil || set.UpperBoundPerDay == nil {
-		t.Error("missing scenario results")
+	outgrown := shortTrace(t, vals)
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"raw-ends-mid-day", raw}, {"partial-day-outgrows", outgrown}} {
+		for _, eng := range []struct {
+			name string
+			opts []Option
+		}{{"default", nil}, {"tick", []Option{WithTickEngine()}}} {
+			name := tc.name + "/" + eng.name
+			set, err := RunAll(tc.tr, planner, BMLConfig{}, eng.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, sc := range []struct {
+				leg string
+				got *Result
+				run func() (*Result, error)
+			}{
+				{"ub-global", set.UpperBoundGlobal, func() (*Result, error) { return RunUpperBoundGlobal(tc.tr, planner.Big(), eng.opts...) }},
+				{"ub-perday", set.UpperBoundPerDay, func() (*Result, error) { return RunUpperBoundPerDay(tc.tr, planner.Big(), eng.opts...) }},
+				{"bml", set.BML, func() (*Result, error) { return RunBML(tc.tr, planner, BMLConfig{}, eng.opts...) }},
+				{"lowerbound", set.LowerBound, func() (*Result, error) { return RunLowerBound(tc.tr, planner.Candidates(), eng.opts...) }},
+			} {
+				want, err := sc.run()
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, sc.leg, err)
+				}
+				if g, w := pinResult(sc.got), pinResult(want); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s/%s: RunAll bits differ from the single run\n got %+v\nwant %+v", name, sc.leg, g, w)
+				}
+				if sc.got.Name != want.Name {
+					t.Errorf("%s/%s: name %q, want %q", name, sc.leg, sc.got.Name, want.Name)
+				}
+			}
+			if tc.tr == outgrown && set.UpperBoundPerDay.QoS.ViolationSeconds() == 0 {
+				t.Errorf("%s: UB PerDay never violated QoS: the per-leg path went untested", name)
+			}
+		}
 	}
 }
 

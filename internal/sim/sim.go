@@ -32,8 +32,9 @@
 // fill-first load shape, so thousand-node runs pay per event for the
 // architectures and the machines mid-transition, not for the fleet. The
 // three bound scenarios need no scheduler: under every engine but tick they
-// run day-span kernels (engine.go) that size the fleet once per day and
-// fold the day's samples run by run, with the same bit-exact arithmetic.
+// run one day-span kernel (engine.go) that sizes each fleet once per day
+// and folds the day's samples run by run, with the same bit-exact
+// arithmetic, for one bound or for all three in a single walk (RunBounds).
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -45,7 +46,8 @@
 // schedules, and raw un-quantized World Cup segments.
 //
 // Results report total and per-day energy (the series of Figure 5) plus
-// QoS and reconfiguration statistics. RunAll and Sweep (parallel.go) fan
+// QoS and reconfiguration statistics. RunAll (parallel.go) runs one
+// evaluation as two concurrent legs, the fused bounds and BML; Sweep fans
 // scenario × trace × fleet grids out across cores; SweepJob.FleetScale
 // multiplies a job's offered load so grids can exercise thousand-node
 // clusters. Beyond one process, grids shard deterministically across
@@ -347,17 +349,11 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 // center: n = ceil(globalPeak / big.MaxPerf) machines of the Big class,
 // always on, load packed onto as few nodes as possible.
 func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	if tr == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	if err := big.Validate(); err != nil {
+	set, err := runBounds(tr, big, nil, legUBGlobal, buildOptions(opts))
+	if err != nil {
 		return nil, err
 	}
-	n := big.NodesFor(tr.Max())
-	if n == 0 {
-		n = 1 // even an idle data center keeps one machine
-	}
-	return runHomogeneousStatic(tr, big, func(int) int { return n }, "UpperBound Global", buildOptions(opts))
+	return set.UpperBoundGlobal, nil
 }
 
 // RunUpperBoundPerDay simulates coarse-grain capacity planning: each day
@@ -365,103 +361,182 @@ func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 // costs between days are not charged, which only makes this upper bound
 // more favorable.
 func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	if tr == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	if err := big.Validate(); err != nil {
+	set, err := runBounds(tr, big, nil, legUBPerDay, buildOptions(opts))
+	if err != nil {
 		return nil, err
 	}
-	peaks := tr.DailyPeaks()
-	perDay := func(day int) int {
-		n := 1
-		if day < len(peaks) {
-			if k := big.NodesFor(peaks[day]); k > n {
-				n = k
-			}
-		} else if len(peaks) > 0 {
-			// Trailing partial day reuses the last complete day's sizing.
-			if k := big.NodesFor(peaks[len(peaks)-1]); k > n {
-				n = k
-			}
-		}
-		return n
-	}
-	return runHomogeneousStatic(tr, big, perDay, "UpperBound PerDay", buildOptions(opts))
-}
-
-// runHomogeneousStatic integrates a homogeneous fleet whose size is a
-// per-day constant. Load is packed fill-first; shortfall (possible only on
-// the trailing partial-day fallback) is recorded as QoS loss.
-func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, name string, o options) (*Result, error) {
-	res := newResult(name, tr.Days())
-	if o.engine != engineTick {
-		foldHomogeneous(tr, arch, sizeForDay, res)
-		res.finalize()
-		return res, nil
-	}
-	for t := 0; t < tr.Len(); t++ {
-		day := t / trace.SecondsPerDay
-		n := sizeForDay(day)
-		demand := tr.At(t)
-		served := math.Min(demand, float64(n)*arch.MaxPerf)
-		total := fleetPowerN(&arch, n, served)
-		idle := float64(n) * float64(arch.IdlePower)
-		res.Breakdown.Idle += power.Joules(idle)
-		res.Breakdown.Dynamic += power.Joules(total - idle)
-		res.addEnergy(t, power.Joules(total))
-		if err := res.QoS.Observe(demand, served, 1); err != nil {
-			return nil, err
-		}
-	}
-	res.finalize()
-	return res, nil
-}
-
-// fleetPowerN returns the draw of n always-on nodes of arch serving load
-// packed onto as few nodes as possible; unused nodes idle.
-func fleetPowerN(arch *profile.Arch, n int, load float64) float64 {
-	full := int(load / arch.MaxPerf)
-	if full > n {
-		full = n
-	}
-	rem := load - float64(full)*arch.MaxPerf
-	p := float64(full) * float64(arch.MaxPower)
-	used := full
-	if rem > 1e-12 && used < n {
-		p += float64(arch.PowerAt(rem))
-		used++
-	}
-	p += float64(n-used) * float64(arch.IdlePower)
-	return p
+	return set.UpperBoundPerDay, nil
 }
 
 // RunLowerBound integrates the theoretical minimum: every second the ideal
 // (exact) combination for the instantaneous load, with no switching latency
 // or energy — the unreachable bound of Figure 5.
 func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (*Result, error) {
-	if tr == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	o := buildOptions(opts)
-	solver, err := bml.NewExactSolver(candidates, tr.Max(), 1)
+	set, err := runBounds(tr, profile.Arch{}, candidates, legLowerBound, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	res := newResult("LowerBound Theoretical", tr.Days())
-	if o.engine != engineTick {
-		if err := foldLowerBound(tr, solver, res); err != nil {
+	return set.LowerBound, nil
+}
+
+// RunBounds runs the three reference scenarios of Figure 5 (UB Global, UB
+// PerDay and LowerBound, with planner.Big() and planner.Candidates()) in one
+// walk of tr, sharing the per-sample work they have in common. Each result
+// is bit-identical to its single-scenario Run call. The returned set's BML
+// field is nil; RunAll fills it.
+func RunBounds(tr *trace.Trace, planner *bml.Planner, opts ...Option) (*ScenarioSet, error) {
+	if planner == nil {
+		return nil, errors.New("sim: nil planner")
+	}
+	return runBounds(tr, planner.Big(), planner.Candidates(), legUBGlobal|legUBPerDay|legLowerBound, buildOptions(opts))
+}
+
+// boundLeg selects bound scenarios for runBounds.
+type boundLeg uint8
+
+const (
+	legUBGlobal boundLeg = 1 << iota
+	legUBPerDay
+	legLowerBound
+)
+
+// runBounds runs the selected bound scenarios: through one boundsFold
+// under every engine but tick, one 1 Hz loop per scenario under tick.
+func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, legs boundLeg, o options) (*ScenarioSet, error) {
+	if tr == nil {
+		return nil, errors.New("sim: nil trace")
+	}
+	if legs&(legUBGlobal|legUBPerDay) != 0 {
+		if err := big.Validate(); err != nil {
 			return nil, err
 		}
-		res.finalize()
-		return res, nil
 	}
+	// One scan yields every peak the legs need: the per-day peaks size UB
+	// PerDay and tell the fold which days fit a fleet's capacity, and their
+	// maximum (exact) is the global peak that sizes UB Global and the
+	// exact solver.
+	peaks := make([]float64, (tr.Len()+trace.SecondsPerDay-1)/trace.SecondsPerDay)
+	peak := 0.0
+	for d := range peaks {
+		peaks[d] = tr.MaxInWindow(d*trace.SecondsPerDay, trace.SecondsPerDay)
+		peak = max(peak, peaks[d])
+	}
+	days := tr.Days()
+	var set ScenarioSet
+	k := boundsFold{arch: big}
+	if legs&legUBGlobal != 0 {
+		n := max(big.NodesFor(peak), 1) // even an idle data center keeps one machine
+		set.UpperBoundGlobal = newResult("UpperBound Global", days)
+		k.hom = append(k.hom, homLeg{res: set.UpperBoundGlobal, size: func(int) int { return n }, servedIsDemand: true})
+	}
+	if legs&legUBPerDay != 0 {
+		perDay := func(day int) int {
+			// A trailing partial day reuses the last complete day's sizing.
+			if day >= days {
+				day = days - 1
+			}
+			if day < 0 {
+				return 1
+			}
+			return max(big.NodesFor(peaks[day]), 1)
+		}
+		set.UpperBoundPerDay = newResult("UpperBound PerDay", days)
+		k.hom = append(k.hom, homLeg{res: set.UpperBoundPerDay, size: perDay, servedIsDemand: true})
+	}
+	if legs&legLowerBound != 0 {
+		solver, err := bml.NewExactSolver(candidates, peak, 1)
+		if err != nil {
+			return nil, err
+		}
+		set.LowerBound = newResult("LowerBound Theoretical", days)
+		k.lower, k.solver = set.LowerBound, solver
+	}
+	if o.engine != engineTick {
+		if err := k.run(tr, peaks); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, l := range k.hom {
+			if err := tickHomogeneous(tr, &big, l.size, l.res); err != nil {
+				return nil, err
+			}
+		}
+		if k.lower != nil {
+			if err := tickLowerBound(tr, k.solver, k.lower); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, r := range []*Result{set.UpperBoundGlobal, set.UpperBoundPerDay, set.LowerBound} {
+		if r != nil {
+			r.finalize()
+		}
+	}
+	return &set, nil
+}
+
+// tickHomogeneous is the 1 Hz oracle loop of a homogeneous fleet whose size
+// is a per-day constant. Load is packed fill-first; shortfall (possible
+// only on UB PerDay's trailing partial-day fallback) is recorded as QoS
+// loss.
+func tickHomogeneous(tr *trace.Trace, arch *profile.Arch, sizeForDay func(day int) int, res *Result) error {
+	for t := 0; t < tr.Len(); t++ {
+		n := sizeForDay(t / trace.SecondsPerDay)
+		demand := tr.At(t)
+		served := math.Min(demand, float64(n)*arch.MaxPerf)
+		total := fleetPowerN(arch, n, served)
+		idle := float64(n) * float64(arch.IdlePower)
+		res.Breakdown.Idle += power.Joules(idle)
+		res.Breakdown.Dynamic += power.Joules(total - idle)
+		res.addEnergy(t, power.Joules(total))
+		if err := res.QoS.Observe(demand, served, 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tickLowerBound is the 1 Hz oracle loop of the LowerBound scenario.
+func tickLowerBound(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
 	for t := 0; t < tr.Len(); t++ {
 		demand := tr.At(t)
 		res.addEnergy(t, power.Joules(float64(solver.PowerAt(demand))))
 		if err := res.QoS.Observe(demand, demand, 1); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	res.finalize()
-	return res, nil
+	return nil
+}
+
+// packing is the fill-first placement of a load onto nodes of one class:
+// full nodes at MaxPower plus at most one partially loaded node. used
+// counts the nodes it loads and p is their draw.
+type packing struct {
+	used int
+	p    float64
+}
+
+func fillFirst(arch *profile.Arch, load float64) (pk packing) {
+	full := int(load / arch.MaxPerf)
+	pk.used, pk.p = full, float64(full)*float64(arch.MaxPower)
+	if rem := load - float64(full)*arch.MaxPerf; rem > 1e-12 {
+		pk.used++
+		pk.p += float64(arch.PowerAt(rem))
+	}
+	return
+}
+
+// draw returns the power of n always-on nodes carrying the packing; unused
+// nodes idle. A packing that needs more than n nodes saturates all n.
+func (pk packing) draw(arch *profile.Arch, n int) float64 {
+	if pk.used > n {
+		return float64(n) * float64(arch.MaxPower)
+	}
+	return pk.p + float64(n-pk.used)*float64(arch.IdlePower)
+}
+
+// fleetPowerN returns the draw of n always-on nodes of arch serving load
+// packed onto as few nodes as possible; unused nodes idle.
+func fleetPowerN(arch *profile.Arch, n int, load float64) float64 {
+	return fillFirst(arch, load).draw(arch, n)
 }
