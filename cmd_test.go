@@ -613,13 +613,14 @@ func TestCmdAblationGridShardAndMerge(t *testing.T) {
 	}
 	runCmd(t, "bmlsim", append([]string{"-sweep", "-shard", "1/2", "-out", s1}, gridArgs...)...)
 
-	// Records self-describe the v2 schema and the config axis.
+	// Records self-describe this build's schema and the config axis.
 	raw, err := os.ReadFile(s0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	schemaField := fmt.Sprintf(`"schema":%d`, sim.CellSchema)
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		for _, field := range []string{`"schema":2`, `"config_hash":"`, `"id":"`} {
+		for _, field := range []string{schemaField, `"config_hash":"`, `"id":"`} {
 			if !strings.Contains(line, field) {
 				t.Errorf("JSONL record missing %s: %s", field, line)
 			}
@@ -644,7 +645,7 @@ func TestCmdAblationGridShardAndMerge(t *testing.T) {
 	// A v1-schema record set is usage (exit 2), not "incomplete" — no
 	// amount of re-dispatching can fix it, matching the journal paths.
 	v1 := filepath.Join(dir, "v1.jsonl")
-	if err := os.WriteFile(v1, []byte(strings.ReplaceAll(string(raw), `"schema":2`, `"schema":1`)), 0o644); err != nil {
+	if err := os.WriteFile(v1, []byte(strings.ReplaceAll(string(raw), schemaField, `"schema":1`)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out = runCmdExit(t, 2, "bmlsweep", append(append([]string{}, gridArgs...), v1, s1)...)

@@ -16,10 +16,11 @@
 // schedules, and WithScanIndex re-routes the public API through them as the
 // benchmarking baseline.
 //
-// For span-integrating engines, StartFold (integrate.go) exposes the same
-// fill-first dispatch arithmetic as a demand fold: whole runs of constant
-// demand integrate in closed form against a frozen configuration, with
-// machine state materialized once per span instead of once per sample.
+// For span-integrating engines, StartFold (integrate.go) exposes fill-first
+// dispatch as a demand fold: PowerAt is affine, so a whole span integrates
+// in closed form from per-pool sums of clamped demand against a frozen
+// configuration, with machine state materialized once per span instead of
+// once per sample.
 package cluster
 
 import (

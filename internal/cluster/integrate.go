@@ -5,23 +5,32 @@ import (
 	"math"
 
 	"repro/internal/power"
-	"repro/internal/profile"
 	"repro/internal/qos"
-	"repro/internal/trace"
 )
 
 // DemandFold integrates the On fleet's energy over a span of demand samples
 // without materializing per-machine loads per sample. Between two scheduler
-// events the machine configuration is fixed, so fill-first dispatch makes
-// the fleet draw a pure (piecewise affine) function of the instantaneous
-// demand: FoldWindow replays Distribute's closed-form pool arithmetic —
-// the same expressions in the same order, so every per-run float is
-// identical to what Distribute+Tick would have produced — but touches no
-// machine and allocates nothing. Commit then materializes the end-of-span
-// state once (dispatch is memoryless: the final loads depend only on the
-// last sample), merges the folded pool aggregates, and ticks only the
-// transitioning machines, whose automata charge exact transition energies
-// over the whole span.
+// events the machine configuration is fixed, and profile.Arch.PowerAt is
+// affine in load, so under fill-first dispatch a pool of n On machines
+// draws n·IdlePower + slope·served, where slope = (MaxPower −
+// IdlePower)/MaxPerf and served is the demand clamped to the pool's band of
+// cumulative capacity: pool k, in dispatch order, serves
+// clamp(d − lo_k, 0, cap_k) with cap_k = n_k·MaxPerf and lo_k the capacity
+// of the pools before it. A span's On energy is therefore
+//
+//	Σ_k n_k·IdlePower·T + slope_k·Σ_t clamp(d_t − lo_k, 0, cap_k)
+//
+// and Fold only has to accumulate the per-pool clamp sums. It classifies
+// the window in blocks of foldBlock samples: a block whose [min, max] range
+// contains no band edge strictly inside costs one pass for its min, max and
+// compensated sum, after which every pool's share is 0, cap·len or
+// sum − lo·len; only blocks that straddle an edge are folded one sample at
+// a time. Commit then materializes the end-of-span state once (dispatch is
+// memoryless: the final loads depend only on the last sample), charges the
+// pools' idle and dynamic energies, and ticks only the transitioning
+// machines, whose automata charge exact transition energies over the whole
+// span. The result differs from per-sample Distribute+Tick only by
+// rounding; the differential suites hold it to ≤1e-6 J of the tick oracle.
 //
 // The contract mirrors the engine's event bounds: no transition may
 // complete strictly before the span's final second (the caller bounds spans
@@ -35,29 +44,32 @@ type DemandFold struct {
 	c     *Cluster
 	pools []foldPool
 	// active indexes the pools with On machines, in dispatch order: the
-	// only pools whose draw FoldWindow evaluates (an empty pool serves
-	// nothing and draws nothing).
+	// only pools that serve demand and draw power.
 	active []int
-	energy power.Accumulator
+	// capacity is the On fleet's total capacity, the top band edge.
+	capacity float64
+	energy   power.Accumulator
+	// slow counts the samples folded one at a time, over every span the
+	// fold has served: a deterministic cost counter (see SlowFoldSamples).
+	slow int
 }
 
-// foldPool accumulates one pool's On energy over the span with compensated
-// summation, alongside the span-constant dispatch parameters StartFold
-// caches so the per-run loop never chases the pool or its architecture
-// profile.
+// foldPool is one pool's span-constant band and slope, cached by StartFold,
+// and its clamp sum over the span.
 type foldPool struct {
-	e power.Accumulator
-	// Span-constant configuration, cached by StartFold: the On count (as
-	// int and pre-converted float), the per-node performance ceiling, the
-	// power endpoints pre-converted to float64, and the architecture (for
-	// the partial node's PowerAt curve).
-	n        int
-	nF       float64
-	maxPerf  float64
-	maxPower float64
-	idleW    float64
-	arch     profile.Arch
+	n      int
+	lo, hi float64 // the pool's demand band [lo, hi), hi = lo + cap
+	cap    float64 // n·MaxPerf
+	slope  float64 // (MaxPower − IdlePower)/MaxPerf, W per unit of load
+	idleW  float64 // n·IdlePower
+	// served is Σ_t clamp(d_t − lo, 0, cap) over the span.
+	served power.Accumulator
 }
+
+// foldBlock is how many samples Fold classifies at once: long enough that
+// the per-block work over the pools is small beside the samples' one pass,
+// short enough that most blocks of a smooth trace stay inside one band.
+const foldBlock = 64
 
 // StartFold begins a demand fold over the cluster's current configuration.
 // The returned fold is owned by the cluster and recycled on the next call.
@@ -73,98 +85,126 @@ func (c *Cluster) StartFold() (*DemandFold, error) {
 	}
 	f := c.fold
 	f.active = f.active[:0]
+	lo := 0.0
 	for i, p := range c.poolList {
-		fp := &f.pools[i]
 		n := len(p.on)
-		*fp = foldPool{
-			n:        n,
-			nF:       float64(n),
-			maxPerf:  p.arch.MaxPerf,
-			maxPower: float64(p.arch.MaxPower),
-			idleW:    float64(p.arch.IdlePower),
-			arch:     p.arch,
+		capacity := float64(n) * p.arch.MaxPerf
+		f.pools[i] = foldPool{
+			n:     n,
+			lo:    lo,
+			hi:    lo + capacity,
+			cap:   capacity,
+			slope: float64(p.arch.MaxPower-p.arch.IdlePower) / p.arch.MaxPerf,
+			idleW: float64(n) * float64(p.arch.IdlePower),
 		}
 		if n > 0 {
 			f.active = append(f.active, i)
+			lo += capacity
 		}
 	}
+	f.capacity = lo
 	f.energy.Reset()
 	return f, nil
 }
 
-// FoldWindow folds a window of per-second demand samples, one run of equal
-// samples at a time: per run it computes the fill-first dispatch shape and
-// the pool draws exactly as Distribute would and charges the closed-form
-// pool energies exactly as Tick would. Machines are not touched. It
-// returns the window's compensated demand and served integrals and its QoS
-// violation seconds (the seconds whose demand exceeds the served rate by
-// more than qos.Slack).
+// SlowFoldSamples returns how many samples the cluster's demand folds have
+// folded one at a time, because their block straddled a band edge, over
+// every span since the cluster was built. Every other sample is folded in
+// closed form with the rest of its block.
+func (c *Cluster) SlowFoldSamples() int {
+	if c.fold == nil {
+		return 0
+	}
+	return c.fold.slow
+}
+
+// Fold folds a window of per-second demand samples into the pools' clamp
+// sums. It returns the window's compensated demand and served integrals
+// (served is Σ min(d, capacity)) and its QoS violation seconds, the seconds
+// whose demand exceeds the capacity by more than qos.Slack. Machines are
+// not touched.
 //
 // The samples must be finite and non-negative, as every trace.Trace's are.
-// A served rate above the demand (beyond qos.Slack) breaks the dispatch
-// invariant and is reported as an error.
-func (f *DemandFold) FoldWindow(w []float64) (demand, served, violation float64, err error) {
+func (f *DemandFold) Fold(w []float64) (demand, served, violation float64) {
 	var demandInt, servedInt power.Accumulator
-	for i := 0; i < len(w); {
-		load := w[i]
-		j := trace.RunEnd(w, i)
-		dt := float64(j - i)
-		remaining := load
-		runServed := 0.0
+	capacity := f.capacity
+	for len(w) > 0 {
+		b := w[:min(len(w), foldBlock)]
+		w = w[len(b):]
+		// A constant prefix (on a quantized trace, most blocks are one
+		// plateau) costs one compare per sample. After it, the samples are
+		// non-negative, so their bit patterns as int64 order like their
+		// values (a -0 sorts lowest, as 0 should), and integer min/max
+		// compile without branches.
+		v, j := b[0], 1
+		for j < len(b) && b[j] == v {
+			j++
+		}
+		loBits, hiBits := int64(math.Float64bits(v)), int64(math.Float64bits(v))
+		sum, comp := v*float64(j), 0.0
+		for _, d := range b[j:] {
+			bits := int64(math.Float64bits(d))
+			loBits = min(loBits, bits)
+			hiBits = max(hiBits, bits)
+			sum, comp = power.NeumaierAdd(sum, comp, d)
+		}
+		lo, hi := math.Float64frombits(uint64(loBits)), math.Float64frombits(uint64(hiBits))
+		sum += comp
+		demandInt.Add(sum)
+		if !f.uniform(lo, hi) {
+			f.slow += len(b)
+			for _, d := range b {
+				for _, k := range f.active {
+					fp := &f.pools[k]
+					fp.served.Add(min(max(d-fp.lo, 0), fp.cap))
+				}
+				servedInt.Add(min(d, capacity))
+				if d-capacity > qos.Slack {
+					violation++
+				}
+			}
+			continue
+		}
+		// No band edge lies strictly inside (lo, hi), so every sample of
+		// the block sits in the same band of every pool.
+		n := float64(len(b))
 		for _, k := range f.active {
 			fp := &f.pools[k]
-			n := fp.n
-			// Dispatch shape — Distribute's arithmetic, verbatim (the
-			// cached parameters are the same float64 values Distribute
-			// reads through the pool, so every expression rounds
-			// identically).
-			maxPerf := fp.maxPerf
-			full := 0
-			rem := 0.0
-			hasPartial := false
-			if remaining > 0 {
-				if fullF := math.Floor(remaining / maxPerf); fullF >= fp.nF {
-					full = n
-				} else {
-					full = int(fullF)
-				}
-				rem = remaining - float64(full)*maxPerf
-				if rem < 0 || full == n {
-					rem = 0
-				}
-				hasPartial = rem > 0
-			}
-			pw := float64(full) * fp.maxPower
-			idleNodes := n - full
-			if hasPartial {
-				pw += float64(fp.arch.PowerAt(rem))
-				idleNodes--
-			}
-			pw += float64(idleNodes) * fp.idleW
-
-			// Pool energy: one compensated add per active pool per run;
-			// the idle/dynamic split is derived once per span in Commit
-			// (the idle component n × IdlePower is span-constant).
-			fp.e.Add(pw * dt)
-
-			servedP := float64(full)*maxPerf + rem
-			runServed += servedP
-			remaining -= servedP
-			if remaining < 0 {
-				remaining = 0
+			switch {
+			case hi <= fp.lo:
+			case lo >= fp.hi:
+				fp.served.Add(fp.cap * n)
+			default:
+				fp.served.Add(sum - fp.lo*n)
 			}
 		}
-		if runServed > load+qos.Slack {
-			return 0, 0, 0, fmt.Errorf("cluster: fold [%d,%d): served %v exceeds offered %v", i, j, runServed, load)
+		if hi <= capacity {
+			servedInt.Add(sum)
+		} else {
+			servedInt.Add(capacity * n)
 		}
-		if load-runServed > qos.Slack {
-			violation += dt
+		if hi-capacity > qos.Slack {
+			violation += n
 		}
-		demandInt.Add(load * dt)
-		servedInt.Add(runServed * dt)
-		i = j
 	}
-	return demandInt.Sum(), servedInt.Sum(), violation, nil
+	return demandInt.Sum(), servedInt.Sum(), violation
+}
+
+// uniform reports whether a block with sample range [lo, hi] can be folded
+// in closed form: no pool's band edge lies strictly inside (lo, hi), and
+// the violation test d − capacity > qos.Slack, which is monotone in d,
+// gives the same answer at both ends.
+func (f *DemandFold) uniform(lo, hi float64) bool {
+	if lo == hi {
+		return true
+	}
+	for _, k := range f.active {
+		fp := &f.pools[k]
+		if (lo < fp.lo && fp.lo < hi) || (lo < fp.hi && fp.hi < hi) {
+			return false
+		}
+	}
+	return lo-f.capacity > qos.Slack == (hi-f.capacity > qos.Slack)
 }
 
 // Commit closes the span: it materializes the end-of-span machine state by
@@ -182,15 +222,16 @@ func (f *DemandFold) Commit(lastDemand, dt float64) (power.Joules, error) {
 	c.now += dt
 	for i, p := range c.poolList {
 		fp := &f.pools[i]
-		if e := fp.e.Sum(); e != 0 {
-			f.energy.Add(e)
+		if fp.n > 0 {
 			// The On count is frozen for the whole span, so the idle floor
-			// integrates in closed form; the dynamic component is the rest.
-			// (Compensated sums make this split agree with per-interval
-			// accumulation to summation ulps.)
-			idle := fp.nF * fp.idleW * dt
+			// integrates in closed form; the dynamic component is the
+			// pool's slope times its served load.
+			idle := fp.idleW * dt
+			dyn := fp.slope * fp.served.Sum()
+			f.energy.Add(idle)
+			f.energy.Add(dyn)
 			p.aggIdle, p.aggIdleComp = power.NeumaierAdd(p.aggIdle, p.aggIdleComp, idle)
-			p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, e-idle)
+			p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, dyn)
 		}
 		for _, nd := range p.trans {
 			e, err := nd.m.Tick(dt)

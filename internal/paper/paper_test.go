@@ -356,7 +356,7 @@ func TestRunMixedSchemaError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		poisoned := strings.Replace(string(b), `"schema":2`, `"schema":1`, 1)
+		poisoned := strings.Replace(string(b), fmt.Sprintf(`"schema":%d`, sim.CellSchema), `"schema":1`, 1)
 		if poisoned == string(b) {
 			t.Fatalf("cache entry %s: no schema field to poison:\n%s", path, b)
 		}

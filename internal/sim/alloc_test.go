@@ -1,13 +1,15 @@
 package sim
 
-// Host-independent allocation gates for the run-by-run kernels. They count
-// allocations rather than time them, so they hold on any machine.
+// Host-independent cost gates for the kernels. They count allocations and
+// operations rather than time them, so they hold on any machine.
 
 import (
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/bml"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -90,5 +92,35 @@ func TestRunBMLAllocatesOneFloatPerSample(t *testing.T) {
 	t.Logf("%.2f bytes/sample over %d samples (%d decisions)", perSample, tr.Len(), res.Decisions)
 	if limit := 1.25 * 8; perSample > limit {
 		t.Errorf("RunBML allocates %.2f bytes per sample, want <= %.2f", perSample, limit)
+	}
+}
+
+// The integrator's demand fold classifies each span in blocks and folds
+// only the blocks that straddle a band edge one sample at a time. On a raw
+// World Cup trace, where every second differs but the load moves slowly
+// against the band widths, those samples are a small share of the trace.
+func TestDemandFoldSlowSamplesRaw(t *testing.T) {
+	cfg := trace.DefaultWorldCupConfig()
+	cfg.Days = 3
+	tr, err := trace.GenerateWorldCup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := bml.NewPlanner(profile.PaperMachines())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, cl, _, err := buildBMLRig(tr, planner, BMLConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runBMLIntegrator(tr, sc, newResult("bml", tr.Days())); err != nil {
+		t.Fatal(err)
+	}
+	slow := cl.SlowFoldSamples()
+	share := float64(slow) / float64(tr.Len())
+	t.Logf("%d of %d samples folded one at a time (%.1f%%)", slow, tr.Len(), 100*share)
+	if share > 0.15 {
+		t.Errorf("%.1f%% of samples folded one at a time, want <= 15%%", 100*share)
 	}
 }

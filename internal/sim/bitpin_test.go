@@ -94,40 +94,42 @@ func bitPinTraces(t *testing.T) map[string]*trace.Trace {
 	return map[string]*trace.Trace{"raw-2.75d": raw, "q300-30d": quant}
 }
 
+// pinnedConfigs are the BML configurations pinned on every trace.
+var pinnedConfigs = map[string]BMLConfig{
+	"default":        {},
+	"headroom":       {Headroom: 1.3},
+	"boot-faults":    {BootFaultProb: 0.05, FaultSeed: 7},
+	"overhead-aware": {OverheadAware: true},
+}
+
+// pinnedRuns returns the pinned scenario runs on tr under opts, keyed by
+// their pin name within the trace.
+func pinnedRuns(tr *trace.Trace, planner *bml.Planner, opts ...Option) map[string]func() (*Result, error) {
+	runs := map[string]func() (*Result, error){
+		"ub-global":  func() (*Result, error) { return RunUpperBoundGlobal(tr, planner.Big(), opts...) },
+		"ub-perday":  func() (*Result, error) { return RunUpperBoundPerDay(tr, planner.Big(), opts...) },
+		"lowerbound": func() (*Result, error) { return RunLowerBound(tr, planner.Candidates(), opts...) },
+	}
+	for name, cfg := range pinnedConfigs {
+		runs["bml-"+name] = func() (*Result, error) { return RunBML(tr, planner, cfg, opts...) }
+	}
+	return runs
+}
+
 func TestResultBitsPinned(t *testing.T) {
 	planner, err := bml.NewPlanner(profile.PaperMachines())
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := map[string]BMLConfig{
-		"default":        {},
-		"headroom":       {Headroom: 1.3},
-		"boot-faults":    {BootFaultProb: 0.05, FaultSeed: 7},
-		"overhead-aware": {OverheadAware: true},
-	}
 	got := map[string]pinnedResult{}
 	traces := bitPinTraces(t)
 	for trName, tr := range traces {
-		for _, run := range []struct {
-			name string
-			fn   func() (*Result, error)
-		}{
-			{"ub-global", func() (*Result, error) { return RunUpperBoundGlobal(tr, planner.Big()) }},
-			{"ub-perday", func() (*Result, error) { return RunUpperBoundPerDay(tr, planner.Big()) }},
-			{"lowerbound", func() (*Result, error) { return RunLowerBound(tr, planner.Candidates()) }},
-		} {
-			res, err := run.fn()
+		for name, run := range pinnedRuns(tr, planner) {
+			res, err := run()
 			if err != nil {
-				t.Fatalf("%s/%s: %v", trName, run.name, err)
+				t.Fatalf("%s/%s: %v", trName, name, err)
 			}
-			got[trName+"/"+run.name] = pinResult(res)
-		}
-		for cfgName, cfg := range configs {
-			res, err := RunBML(tr, planner, cfg)
-			if err != nil {
-				t.Fatalf("%s/bml-%s: %v", trName, cfgName, err)
-			}
-			got[trName+"/bml-"+cfgName] = pinResult(res)
+			got[trName+"/"+name] = pinResult(res)
 		}
 	}
 
@@ -172,7 +174,7 @@ func TestResultBitsPinned(t *testing.T) {
 	// RunAll's fused bounds and its concurrent BML leg reproduce the pinned
 	// single-scenario bits.
 	for trName, tr := range traces {
-		set, err := RunAll(tr, planner, configs["default"])
+		set, err := RunAll(tr, planner, pinnedConfigs["default"])
 		if err != nil {
 			t.Fatalf("%s/RunAll: %v", trName, err)
 		}
@@ -186,6 +188,53 @@ func TestResultBitsPinned(t *testing.T) {
 			if g, w := pinResult(res), want[name]; !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: RunAll result bits differ from the pinned ones\n got %+v\nwant %+v", name, g, w)
 			}
+		}
+	}
+}
+
+// The pinned bits are results of the default engine, not of the
+// integration scheme the paper describes. Every pinned run is held to the
+// tick oracle on the same trace: total and daily energy within 1e-6 J,
+// equal scheduler counters and violation seconds.
+func TestPinnedResultsMatchTickOracle(t *testing.T) {
+	planner, err := bml.NewPlanner(profile.PaperMachines())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trName, tr := range bitPinTraces(t) {
+		ticks := pinnedRuns(tr, planner, WithTickEngine())
+		for name, run := range pinnedRuns(tr, planner) {
+			t.Run(trName+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				res, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tick, err := ticks[name]()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := math.Abs(float64(res.TotalEnergy - tick.TotalEnergy)); d > energyTolJ {
+					t.Errorf("total energy %v differs from the tick oracle's %v by %g J", res.TotalEnergy, tick.TotalEnergy, d)
+				}
+				if len(res.DailyEnergy) != len(tick.DailyEnergy) {
+					t.Fatalf("%d days, tick oracle %d", len(res.DailyEnergy), len(tick.DailyEnergy))
+				}
+				for d := range tick.DailyEnergy {
+					if diff := math.Abs(float64(res.DailyEnergy[d] - tick.DailyEnergy[d])); diff > energyTolJ {
+						t.Errorf("day %d energy differs from the tick oracle's by %g J", d+1, diff)
+					}
+				}
+				if res.Decisions != tick.Decisions || res.SwitchOns != tick.SwitchOns ||
+					res.SwitchOffs != tick.SwitchOffs || res.Skipped != tick.Skipped {
+					t.Errorf("counters %d/%d/%d/%d, tick oracle %d/%d/%d/%d",
+						res.Decisions, res.SwitchOns, res.SwitchOffs, res.Skipped,
+						tick.Decisions, tick.SwitchOns, tick.SwitchOffs, tick.Skipped)
+				}
+				if v, w := res.QoS.ViolationSeconds(), tick.QoS.ViolationSeconds(); v != w {
+					t.Errorf("%v violation seconds, tick oracle %v", v, w)
+				}
+			})
 		}
 	}
 }

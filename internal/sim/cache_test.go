@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -91,6 +92,28 @@ func TestDirCacheRoundTrip(t *testing.T) {
 	}
 	if _, _, err := cache.Get(stale.ID); err == nil {
 		t.Error("schema-v1 cache entry served without error")
+	}
+}
+
+// A cache written by a schema-2 build holds results from before the affine
+// fold under this build's cell IDs. Get refuses such an entry with
+// ErrCellSchema instead of serving its bits, and Put refuses to store one.
+func TestDirCacheRefusesSchema2Entry(t *testing.T) {
+	cache, err := NewDirCache(filepath.Join(t.TempDir(), "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs := gridAndRecords(t)
+	old := recs[0]
+	old.Schema = 2
+	if err := WriteCellRecord(mustCreate(t, cachePath(cache.Dir(), old.ID)), old); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cache.Get(old.ID); ok || !errors.Is(err, ErrCellSchema) {
+		t.Errorf("Get of a schema-2 entry = ok=%v, %v; want ErrCellSchema", ok, err)
+	}
+	if err := cache.Put(old); !errors.Is(err, ErrCellSchema) {
+		t.Errorf("Put of a schema-2 record = %v; want ErrCellSchema", err)
 	}
 }
 

@@ -324,14 +324,14 @@ func TestMergeCellsRejectsMixedSchema(t *testing.T) {
 	v1.Schema = 0 // what a pre-v2 worker wrote
 	mixed := append([]CellRecord{v1}, recs[1:]...)
 	_, _, err := MergeCells(jobs, mixed)
-	if err == nil || !strings.Contains(err.Error(), "schema v1") || !strings.Contains(err.Error(), "v2") {
-		t.Fatalf("mixed-schema merge error = %v, want schema mismatch naming v1 and v2", err)
+	if want := fmt.Sprintf("expects v%d", CellSchema); err == nil || !strings.Contains(err.Error(), "schema v1") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("mixed-schema merge error = %v, want schema mismatch naming v1 and v%d", err, CellSchema)
 	}
 	// And a future schema is equally rejected, not assumed compatible.
-	v3 := recs[0]
-	v3.Schema = 3
-	if _, _, err := MergeCells(jobs, append([]CellRecord{v3}, recs[1:]...)); err == nil || !strings.Contains(err.Error(), "schema v3") {
-		t.Fatalf("v3 record error = %v", err)
+	future := recs[0]
+	future.Schema = CellSchema + 1
+	if _, _, err := MergeCells(jobs, append([]CellRecord{future}, recs[1:]...)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schema v%d", CellSchema+1)) {
+		t.Fatalf("v%d record error = %v", CellSchema+1, err)
 	}
 }
 

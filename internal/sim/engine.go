@@ -150,21 +150,22 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 // shape, shared by every bound leg a call asks for. Their models change
 // only at day edges (the fleet size) and at load changes (the draw), so
 // each day sizes every leg once and walks tr.Window(day) one run of equal
-// samples at a time. A run is one closed-form evaluation per leg (draw ×
-// run length) and makes one addition to each running sum, in run order:
-// total and daily energy as Neumaier pairs, the breakdown, and the QoS
-// sums. The sums live in locals while a leg folds a chunk of runs and are
-// written back to the Result once per day, which leaves them exactly as
-// per-run writes would.
+// samples at a time, folding the QoS seconds and demand sums every leg
+// shares and the day's own demand integral D_day. The sums live in locals
+// while a leg folds a chunk of runs and are written back to the Result
+// once per day.
 //
-// Folding the legs together shares only work that is bit-identical by
-// construction: the run detection, the QoS seconds and demand sums (every
-// leg makes the same additions to them), and the fill-first packing of the
-// demand, which the two homogeneous legs evaluate identically up to their
-// own idle tail. TestResultBitsPinned pins the resulting bits;
-// TestRunAllMatchesSequentialRuns holds the fused legs to the single-leg
-// calls bit for bit; the differential suites hold them within 1e-6 J of
-// the tick oracle.
+// A homogeneous leg whose day peak fits its capacity serves every run in
+// full, and profile.Arch.PowerAt is affine, so its fill-first draw on n
+// nodes is n·IdlePower + slope·demand with slope = (MaxPower −
+// IdlePower)/MaxPerf: the day's energy is n·IdlePower·T_day + slope·D_day,
+// charged once at the end of the day with no per-run work at all. Only a
+// day that clamps (UB PerDay's trailing partial day, whose fallback sizing
+// can under-provision) packs each run with fleetPowerN. The LowerBound leg
+// looks its powers up one chunk of runs at a time. TestResultBitsPinned
+// pins the resulting bits; TestRunAllMatchesSequentialRuns holds the fused
+// legs to the single-leg calls bit for bit; the differential suites hold
+// them within 1e-6 J of the tick oracle.
 
 // energySums is one leg's energy for the day, held in locals: the total and
 // daily energy as Neumaier pairs.
@@ -191,13 +192,11 @@ func (r *Result) commitDay(d int, s energySums, q qos.Fold) {
 
 // runChunk holds up to chunkRuns consecutive runs of equal samples as the
 // bound legs see them, one array per field: the demand, the run length,
-// and what the legs derive from the demand alone (its fill-first packing
-// onto the homogeneous class, the LowerBound's optimal power).
+// and the LowerBound's optimal power for the demand.
 type runChunk struct {
 	n      int
 	demand [chunkRuns]float64
 	dt     [chunkRuns]float64
-	pk     [chunkRuns]packing
 	power  [chunkRuns]power.Watts
 }
 
@@ -208,8 +207,9 @@ const chunkRuns = 256
 
 // homLeg is one homogeneous bound scenario (UB Global or UB PerDay) inside
 // a bounds fold: a fleet of always-on nodes whose size is a per-day
-// constant. Per run, the served load is the demand clamped to the day's
-// capacity and the draw is fleetPowerN's fill-first packing.
+// constant. On a day that clamps, per run, the served load is the demand
+// clamped to the day's capacity and the draw is fleetPowerN's fill-first
+// packing; every other day folds in closed form in commitDay.
 type homLeg struct {
 	res  *Result
 	size func(day int) int
@@ -233,7 +233,8 @@ func (l *homLeg) startDay(arch *profile.Arch, d int, peak float64) {
 	l.capacity = float64(l.n) * arch.MaxPerf
 	l.idle = float64(l.n) * float64(arch.IdlePower)
 	// On a day whose peak fits the capacity, min(demand, capacity) is the
-	// demand itself, bit for bit: every run is served in full.
+	// demand itself, bit for bit: every run is served in full, and the day
+	// folds in closed form.
 	l.clamps = peak > l.capacity
 	if l.clamps {
 		l.servedIsDemand = false
@@ -242,28 +243,20 @@ func (l *homLeg) startDay(arch *profile.Arch, d int, peak float64) {
 	l.e = l.res.startDay()
 }
 
-// fold folds a chunk of runs into the leg, in run order.
+// fold folds a chunk of runs into the leg, in run order, on a day that
+// clamps: per run, the served load is the demand clamped to the day's
+// capacity and the draw is fleetPowerN's fill-first packing of it.
 func (l *homLeg) fold(arch *profile.Arch, c *runChunk) {
 	n, capacity, idle := l.n, l.capacity, l.idle
 	bIdle, bDyn, e, served, violation := l.bIdle, l.bDyn, l.e, l.q.Served, l.q.ViolationSeconds
-	demands, dts, pks := c.demand[:c.n], c.dt[:c.n], c.pk[:c.n]
-	for r, demand := range demands {
+	dts := c.dt[:c.n]
+	for r, demand := range c.demand[:c.n] {
 		dt := dts[r]
-		var total float64
-		if l.clamps {
-			s := min(demand, capacity)
-			total = fleetPowerN(arch, n, s)
-			served = served.Plus(s * dt)
-			if demand-s > qos.Slack {
-				violation += dt
-			}
-		} else {
-			// The run is served in full: fleetPowerN(arch, n, demand) is
-			// the shared packing's draw on n nodes.
-			total = pks[r].draw(arch, n)
-			if !l.servedIsDemand {
-				served = served.Plus(demand * dt)
-			}
+		s := min(demand, capacity)
+		total := fleetPowerN(arch, n, s)
+		served = served.Plus(s * dt)
+		if demand-s > qos.Slack {
+			violation += dt
 		}
 		bIdle += idle * dt
 		bDyn += (total - idle) * dt
@@ -275,8 +268,23 @@ func (l *homLeg) fold(arch *profile.Arch, c *runChunk) {
 }
 
 // commitDay writes day d back to the leg's Result, taking the seconds and
-// demand sums from the kernel's shared fold.
-func (l *homLeg) commitDay(d int, shared qos.Fold) {
+// demand sums from the kernel's shared fold. On a day that does not clamp
+// it first charges the day in closed form: seconds long, with demand
+// integral demand.
+func (l *homLeg) commitDay(arch *profile.Arch, d int, shared qos.Fold, seconds float64, demand power.Accumulator) {
+	if !l.clamps {
+		idle := l.idle * seconds
+		dyn := float64(arch.MaxPower-arch.IdlePower) / arch.MaxPerf * demand.Sum()
+		l.bIdle += idle
+		l.bDyn += dyn
+		for _, en := range [2]float64{idle, dyn} {
+			l.e.total, l.e.totalComp = power.NeumaierAdd(l.e.total, l.e.totalComp, en)
+			l.e.daily, l.e.dailyComp = power.NeumaierAdd(l.e.daily, l.e.dailyComp, en)
+		}
+		if !l.servedIsDemand {
+			l.q.Served = l.q.Served.Plus(demand.Sum())
+		}
+	}
 	l.q.Seconds, l.q.Demand = shared.Seconds, shared.Demand
 	if l.servedIsDemand {
 		l.q.Served = shared.Demand
@@ -316,9 +324,9 @@ type boundsFold struct {
 
 // run walks tr day by day; peaks[d] is the peak of day window d (the
 // trailing partial day included). Each day's runs are detected a chunk at
-// a time, with the shared sums folded on the way; then what the legs derive
-// from the demand alone is computed for the whole chunk, and every leg
-// folds the chunk in its own loop.
+// a time, with the shared sums and the day's demand integral folded on the
+// way; then the legs that need per-run work (a clamping homogeneous leg,
+// the LowerBound) fold the chunk in their own loops.
 func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 	arch := &k.arch
 	var (
@@ -330,12 +338,15 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 		c         runChunk
 	)
 	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
+		clamps := false
 		for h := range k.hom {
 			k.hom[h].startDay(arch, d, peaks[d])
+			clamps = clamps || k.hom[h].clamps
 		}
 		if k.lower != nil {
 			lower = k.lower.startDay()
 		}
+		var dayDemand power.Accumulator
 		w := tr.Window(start, start+trace.SecondsPerDay)
 		for i := 0; i < len(w); {
 			n := 0
@@ -344,16 +355,16 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 				dt := float64(j - i)
 				seconds += dt
 				demandSum = demandSum.Plus(w[i] * dt)
+				dayDemand = dayDemand.Plus(w[i] * dt)
 				c.demand[n], c.dt[n] = w[i], dt
 				i = j
 			}
 			c.n = n
-			if len(k.hom) > 0 {
-				for r, demand := range c.demand[:c.n] {
-					c.pk[r] = fillFirst(arch, demand)
-				}
+			if clamps {
 				for h := range k.hom {
-					k.hom[h].fold(arch, &c)
+					if k.hom[h].clamps {
+						k.hom[h].fold(arch, &c)
+					}
 				}
 			}
 			if k.lower != nil {
@@ -365,7 +376,7 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 		}
 		q := qos.Fold{Seconds: seconds, Demand: demandSum}
 		for h := range k.hom {
-			k.hom[h].commitDay(d, q)
+			k.hom[h].commitDay(arch, d, q, float64(len(w)), dayDemand)
 		}
 		if k.lower != nil {
 			lq := q

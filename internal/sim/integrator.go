@@ -14,22 +14,26 @@ import (
 // load or prediction change, which on a raw un-quantized 1 Hz trace means
 // one per second — the tick loop's asymptotics with a better constant. The
 // integrator removes trace changes from the event set entirely: between two
-// scheduler events the machine configuration is fixed, so the fleet's draw
-// is a pure closed-form function of the instantaneous demand
-// (cluster.DemandFold), and the engine only iterates on
+// scheduler events the machine configuration is fixed, and
+// profile.Arch.PowerAt is affine in load, so under fill-first dispatch each
+// pool draws n·IdlePower + slope·served, where served is the demand clamped
+// to the pool's band of cumulative capacity (cluster.DemandFold). The
+// engine only iterates on
 //
 //   - decisions that act (discovered by sched.DecideSpan's forward scan),
 //   - transition completions and migration-lock expiries (NextWake),
 //   - day boundaries and the trace end.
 //
-// Inside each span the window of raw samples is folded run-by-run
-// (cluster.DemandFold.FoldWindow) through the same float arithmetic
-// Distribute+Tick would have performed, so the result matches the
-// per-sample oracles to summation ulps — the raw-trace differential suite
-// holds all three engines to ≤1e-6 J and exact counters. The engine's cost
-// is O(scheduler events) iterations plus a tight allocation-free window
-// fold (and sched's per-second decision scan), which is what makes raw
-// traces as cheap per simulated second as quantized ones.
+// Inside each span the window of raw samples is folded in closed form
+// (cluster.DemandFold.Fold): span energy needs only each pool's sum of
+// clamped demand, which a 64-sample block yields from its min, max and
+// compensated sum unless a band edge falls inside the block. The result
+// differs from the per-sample oracles only by rounding — the raw-trace
+// differential suite holds all three engines to ≤1e-6 J and exact
+// counters. The engine's cost is O(scheduler events) iterations plus one
+// allocation-free pass over the samples (and sched's per-second decision
+// scan), which is what makes raw traces as cheap per simulated second as
+// quantized ones.
 
 // runBMLIntegrator is the interval-integrator BML engine loop.
 func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
@@ -60,10 +64,7 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 		if err != nil {
 			return err
 		}
-		demandInt, servedInt, violation, err := fold.FoldWindow(window)
-		if err != nil {
-			return fmt.Errorf("sim: fold span at %d: %w", t, err)
-		}
+		demandInt, servedInt, violation := fold.Fold(window)
 		e, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)

@@ -16,9 +16,10 @@
 // The default interval integrator (integrator.go) iterates only on
 // scheduler events — decisions that act (found by sched.DecideSpan's
 // forward scan), transition completions and lock expiries, day boundaries
-// — and folds every raw trace sample inside a span through the fleet's
-// closed-form dispatch arithmetic (cluster.DemandFold), so un-quantized
-// 1 Hz traces simulate as cheaply per second as quantized ones. The
+// — and folds the raw trace samples inside a span in closed form
+// (cluster.DemandFold: PowerAt is affine, so a span's energy needs only
+// each pool's sum of clamped demand), so un-quantized 1 Hz traces simulate
+// as cheaply per second as quantized ones. The
 // per-sample event engine (engine.go, events.go), selectable with
 // WithEventEngine(), additionally pays one engine iteration per
 // trace-level load change and prediction change — equivalent on
@@ -33,8 +34,9 @@
 // architectures and the machines mid-transition, not for the fleet. The
 // three bound scenarios need no scheduler: under every engine but tick they
 // run one day-span kernel (engine.go) that sizes each fleet once per day
-// and folds the day's samples run by run, with the same bit-exact
-// arithmetic, for one bound or for all three in a single walk (RunBounds).
+// and walks the day's samples run by run, for one bound or for all three in
+// a single walk (RunBounds); an upper-bound fleet whose day peak fits its
+// capacity charges the day in closed form from the day's demand integral.
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -508,35 +510,19 @@ func tickLowerBound(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error
 	return nil
 }
 
-// packing is the fill-first placement of a load onto nodes of one class:
-// full nodes at MaxPower plus at most one partially loaded node. used
-// counts the nodes it loads and p is their draw.
-type packing struct {
-	used int
-	p    float64
-}
-
-func fillFirst(arch *profile.Arch, load float64) (pk packing) {
+// fleetPowerN returns the draw of n always-on nodes of arch serving load
+// packed onto as few nodes as possible: full nodes at MaxPower plus at most
+// one partially loaded node; unused nodes idle. A load that needs more than
+// n nodes saturates all n.
+func fleetPowerN(arch *profile.Arch, n int, load float64) float64 {
 	full := int(load / arch.MaxPerf)
-	pk.used, pk.p = full, float64(full)*float64(arch.MaxPower)
+	used, p := full, float64(full)*float64(arch.MaxPower)
 	if rem := load - float64(full)*arch.MaxPerf; rem > 1e-12 {
-		pk.used++
-		pk.p += float64(arch.PowerAt(rem))
+		used++
+		p += float64(arch.PowerAt(rem))
 	}
-	return
-}
-
-// draw returns the power of n always-on nodes carrying the packing; unused
-// nodes idle. A packing that needs more than n nodes saturates all n.
-func (pk packing) draw(arch *profile.Arch, n int) float64 {
-	if pk.used > n {
+	if used > n {
 		return float64(n) * float64(arch.MaxPower)
 	}
-	return pk.p + float64(n-pk.used)*float64(arch.IdlePower)
-}
-
-// fleetPowerN returns the draw of n always-on nodes of arch serving load
-// packed onto as few nodes as possible; unused nodes idle.
-func fleetPowerN(arch *profile.Arch, n int, load float64) float64 {
-	return fillFirst(arch, load).draw(arch, n)
+	return p + float64(n-used)*float64(arch.IdlePower)
 }

@@ -24,11 +24,16 @@ import (
 // writes. v1 (records with no schema field) identified cells by
 // scenario|name|fleet|trace; v2 added the config fingerprint — cell IDs
 // end in "|cfg=<hash>" and records carry config/config_hash — so that BML
-// configuration ablations are grid axes. The bump is deliberate and hard:
-// a v1 record in a v2 grid is rejected with an explanatory error by
-// MergeCells and the ingest coordinator, never silently treated as a
-// foreign cell.
-const CellSchema = 2
+// configuration ablations are grid axes. v3 keeps v2's cell IDs and marks
+// results of the affine fold: the BML demand fold and the upper-bound legs
+// integrate demand sums in closed form (profile.Arch.PowerAt is affine in
+// load), which moves some result bits by rounding. Cell IDs carry no code
+// version, so without the bump a v2 cache or journal would serve the old
+// bits beside fresh ones. Each bump is deliberate and hard: a record of
+// another schema is rejected with an explanatory error by MergeCells, the
+// caches and the ingest coordinator, never silently treated as a foreign
+// or an equal cell.
+const CellSchema = 3
 
 // CellRecord is one completed sweep cell in self-describing form: enough
 // identity to validate it against a grid re-enumerated elsewhere (schema
@@ -288,9 +293,10 @@ var ErrCellSchema = errors.New("sim: cell schema mismatch")
 
 // CheckCellSchema rejects records written under a different cell-ID schema
 // than this build's. A v1 record's IDs lack the cfg= component, so letting
-// one into a v2 merge would misreport every cell as foreign; the explicit
-// error (wrapping ErrCellSchema) says what actually happened and what to
-// do about it.
+// one into a merge would misreport every cell as foreign; a v2 record has
+// this build's IDs but results from before the affine fold, so letting one
+// in would mix old bits with fresh ones. The explicit error (wrapping
+// ErrCellSchema) says what actually happened and what to do about it.
 func CheckCellSchema(rec CellRecord) error {
 	if rec.Schema == CellSchema {
 		return nil
@@ -299,7 +305,7 @@ func CheckCellSchema(rec CellRecord) error {
 	if v == 0 {
 		v = 1 // records predating the schema field
 	}
-	return fmt.Errorf("%w: record %s: schema v%d, this build expects v%d (v2 cell IDs carry a config fingerprint: re-run the workers from this build, or keep old journals/outputs with the build that wrote them)",
+	return fmt.Errorf("%w: record %s: schema v%d, this build expects v%d (v1 cell IDs lack the config fingerprint and v2 results predate the affine fold: re-run the workers from this build, or keep old journals, caches and outputs with the build that wrote them)",
 		ErrCellSchema, rec.ID, v, CellSchema)
 }
 
