@@ -166,6 +166,18 @@ func TestCmdBMLSimTickEngineWarnsOracleOnly(t *testing.T) {
 	}
 }
 
+// bmlsim has two engines: -engine event is an unknown engine, and the error
+// names the two.
+func TestCmdBMLSimRejectsEventEngine(t *testing.T) {
+	out := runCmdErr(t, "bmlsim", "-days", "1", "-first", "1", "-last", "1",
+		"-quantize", "600", "-engine", "event")
+	for _, want := range []string{"unknown engine", "integrator", "tick"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-engine event error missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // runCmdErr runs a command expecting a non-zero exit, returning combined
 // output.
 func runCmdErr(t *testing.T, name string, args ...string) string {

@@ -3,24 +3,23 @@
 // actions toward a target combination, fill-biggest-first load dispatch
 // across powered-on nodes, and aggregate energy accounting.
 //
-// The fleet is indexed for event-driven simulation at scale. Each pool keeps
-// its non-Off machines on an active list, its reusable Off machines on a
-// free list, and per-state counters, so Counts, Capacity, and Reconfiguring
-// are O(architectures) and Distribute/Tick are O(powered machines) rather
-// than O(fleet). Pending transitions live in a min-heap keyed by absolute
+// The fleet is indexed for simulation at scale. Each pool keeps its
+// non-Off machines on an active list, its reusable Off machines on a free
+// list, and per-state counters, so Counts, Capacity, and Reconfiguring are
+// O(architectures) and Distribute/Tick are O(powered machines) rather than
+// O(fleet). Pending transitions live in a min-heap keyed by absolute
 // completion time with lazy invalidation (transheap.go), making
-// NextTransitionEnd — the event engine's wake-up signal — an O(1) peek.
-// The original linear scans are retained as unexported reference
-// implementations; the differential tests in differential_test.go hold the
+// NextTransitionEnd — the engines' wake-up signal — an O(1) peek. The
+// original O(fleet) linear scans live on as the test-only reference in
+// scan_test.go; the differential tests in differential_test.go hold the
 // indexed answers to the scanned ones on randomized fleets and fault
-// schedules, and WithScanIndex re-routes the public API through them as the
-// benchmarking baseline.
+// schedules, and drive a scan-mode twin cluster in lockstep.
 //
-// For span-integrating engines, StartFold (integrate.go) exposes fill-first
-// dispatch as a demand fold: PowerAt is affine, so a whole span integrates
-// in closed form from per-pool sums of clamped demand against a frozen
-// configuration, with machine state materialized once per span instead of
-// once per sample.
+// For the simulator's interval integrator, StartFold (integrate.go)
+// exposes fill-first dispatch as a demand fold: PowerAt is affine, so a
+// whole span integrates in closed form from per-pool sums of clamped
+// demand against a frozen configuration, with machine state materialized
+// once per span instead of once per sample.
 package cluster
 
 import (
@@ -116,10 +115,6 @@ type Cluster struct {
 	pushTick    uint64
 	transitions transHeap
 
-	// scanIndex routes the public API through the original O(fleet) linear
-	// scans — the differential/benchmark baseline.
-	scanIndex bool
-
 	// fold is the recycled DemandFold buffer handed out by StartFold.
 	fold *DemandFold
 }
@@ -153,15 +148,6 @@ func WithBootFaults(prob float64, seed int64) Option {
 		c.faultProb = prob
 		c.faultRng = rand.New(rand.NewSource(seed))
 	}
-}
-
-// WithScanIndex answers every fleet query with the original O(fleet)
-// linear scans instead of the transition heap and pool aggregates. It
-// exists as the differential-testing and benchmarking baseline (the
-// "linear-scan baseline" of BENCH_sim.json); simulations should never
-// need it.
-func WithScanIndex() Option {
-	return func(c *Cluster) { c.scanIndex = true }
 }
 
 // New creates an empty cluster able to host machines of the given
@@ -210,30 +196,11 @@ func (c *Cluster) Architectures() []profile.Arch {
 // activeCount returns the number of machines counting toward the target:
 // On plus Booting (a booting machine has been committed to the target).
 func (c *Cluster) activeCount(arch string) int {
-	if c.scanIndex {
-		return c.activeCountScan(arch)
-	}
 	p := c.pools[arch]
 	if p == nil {
 		return 0
 	}
 	return len(p.on) + p.nBooting
-}
-
-// activeCountScan is the original O(pool) implementation, kept as the
-// differential-test reference.
-func (c *Cluster) activeCountScan(arch string) int {
-	n := 0
-	p := c.pools[arch]
-	if p == nil {
-		return 0
-	}
-	for _, nd := range p.nodes {
-		if s := nd.m.State(); s == machine.On || s == machine.Booting {
-			n++
-		}
-	}
-	return n
 }
 
 // Counts returns the per-architecture active machine counts (On+Booting).
@@ -251,16 +218,7 @@ func (c *Cluster) Counts() map[string]int {
 func (c *Cluster) OnCounts() map[string]int {
 	out := make(map[string]int, len(c.archs))
 	for _, p := range c.poolList {
-		n := len(p.on)
-		if c.scanIndex {
-			n = 0
-			for _, nd := range p.nodes {
-				if nd.m.State() == machine.On {
-					n++
-				}
-			}
-		}
-		if n > 0 {
+		if n := len(p.on); n > 0 {
 			out[p.arch.Name] = n
 		}
 	}
@@ -301,30 +259,6 @@ func (c *Cluster) SetTarget(target map[string]int) (switchedOn, switchedOff int,
 				switchedOn++
 				have++
 			}
-		case have > want && c.scanIndex:
-			// Original behavior: sort the On machines by load and switch
-			// the least-loaded off.
-			on := c.onNodesByLoadScan(p)
-			for _, nd := range on {
-				if have <= want {
-					break
-				}
-				if perr := nd.m.PowerOff(); perr != nil {
-					return switchedOn, switchedOff, perr
-				}
-				c.startedShutdown(p, nd)
-				switchedOff++
-				have--
-			}
-			// Remove the victims from the On list (scan mode keeps no
-			// positional invariant, so compact generically).
-			kept := p.on[:0]
-			for _, nd := range p.on {
-				if nd.m.State() == machine.On {
-					kept = append(kept, nd)
-				}
-			}
-			p.on = kept
 		case have > want:
 			// Switch off On machines first (Booting machines cannot be
 			// aborted in the paper's model: On/Off actions run to
@@ -403,27 +337,9 @@ func (c *Cluster) startedShutdown(p *pool, nd *node) {
 	}
 }
 
-// removeFree drops nd from the free list, preserving order.
-func (p *pool) removeFree(nd *node) {
-	for i, x := range p.free {
-		if x == nd {
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			return
-		}
-	}
-}
-
 // provision finds an Off machine to reuse or creates a new one.
 func (c *Cluster) provision(p *pool) (*node, error) {
-	if c.scanIndex {
-		// Original behavior: first Off machine in creation order.
-		for _, nd := range p.nodes {
-			if nd.m.State() == machine.Off {
-				p.removeFree(nd)
-				return nd, nil
-			}
-		}
-	} else if n := len(p.free); n > 0 {
+	if n := len(p.free); n > 0 {
 		nd := p.free[n-1]
 		p.free = p.free[:n-1]
 		return nd, nil
@@ -450,21 +366,6 @@ func (p *pool) loadedCount() int {
 	return p.distFull
 }
 
-// onNodesByLoadScan returns the On machines of one pool sorted by
-// ascending load — the original retirement-selection implementation, used
-// by the WithScanIndex baseline (the indexed path reads the shape
-// invariant instead and never sorts).
-func (c *Cluster) onNodesByLoadScan(p *pool) []*node {
-	var out []*node
-	for _, nd := range p.nodes {
-		if nd.m.State() == machine.On {
-			out = append(out, nd)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].m.Load() < out[j].m.Load() })
-	return out
-}
-
 // Machines returns every machine in the cluster (all states), Big→Little,
 // then by creation order.
 func (c *Cluster) Machines() []*machine.Machine {
@@ -479,9 +380,6 @@ func (c *Cluster) Machines() []*machine.Machine {
 
 // Capacity returns the total rate the currently On machines can sustain.
 func (c *Cluster) Capacity() float64 {
-	if c.scanIndex {
-		return c.capacityScan()
-	}
 	var cap float64
 	for _, p := range c.poolList {
 		cap += float64(len(p.on)) * p.arch.MaxPerf
@@ -489,25 +387,9 @@ func (c *Cluster) Capacity() float64 {
 	return cap
 }
 
-// capacityScan is the original O(fleet) implementation (reference).
-func (c *Cluster) capacityScan() float64 {
-	var cap float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.State() == machine.On {
-				cap += p.arch.MaxPerf
-			}
-		}
-	}
-	return cap
-}
-
 // Reconfiguring reports whether any machine is mid-transition — the
 // condition under which the paper's scheduler defers all decisions.
 func (c *Cluster) Reconfiguring() bool {
-	if c.scanIndex {
-		return c.reconfiguringScan()
-	}
 	for _, p := range c.poolList {
 		if len(p.trans) > 0 {
 			return true
@@ -516,24 +398,9 @@ func (c *Cluster) Reconfiguring() bool {
 	return false
 }
 
-// reconfiguringScan is the original O(fleet) implementation (reference).
-func (c *Cluster) reconfiguringScan() bool {
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.Transitioning() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // PendingTransition returns the longest remaining transition time across
 // the fleet (zero when idle).
 func (c *Cluster) PendingTransition() float64 {
-	if c.scanIndex {
-		return c.pendingTransitionScan()
-	}
 	// The heap orders by the shortest end; the longest is found by walking
 	// the live entries — O(transitioning machines), not O(fleet).
 	var max float64
@@ -548,28 +415,13 @@ func (c *Cluster) PendingTransition() float64 {
 	return max
 }
 
-// pendingTransitionScan is the original O(fleet) implementation (reference).
-func (c *Cluster) pendingTransitionScan() float64 {
-	var max float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if r := nd.m.Remaining(); r > max {
-				max = r
-			}
-		}
-	}
-	return max
-}
-
 // NextTransitionEnd returns the shortest remaining transition time across
 // the fleet (zero when no machine is transitioning) — the next instant at
-// which a machine changes state on its own, which is the event-driven
-// simulator's wake-up signal. With the transition heap this is an O(1)
-// peek (plus amortized O(log n) lazy pruning of resolved transitions).
+// which a machine changes state on its own, which is the simulator's
+// wake-up signal (sched.Scheduler.NextWake bounds every integrator span by
+// it). With the transition heap this is an O(1) peek (plus amortized
+// O(log n) lazy pruning of resolved transitions).
 func (c *Cluster) NextTransitionEnd() float64 {
-	if c.scanIndex {
-		return c.nextTransitionEndScan()
-	}
 	c.pruneTransitions()
 	if len(c.transitions) == 0 {
 		return 0
@@ -578,20 +430,6 @@ func (c *Cluster) NextTransitionEnd() float64 {
 	// remaining time is the value the scan-based reference reports and the
 	// one whose arithmetic the engines rely on.
 	return c.transitions[0].nd.m.Remaining()
-}
-
-// nextTransitionEndScan is the original O(fleet) implementation, kept as
-// the differential-test reference and the WithScanIndex baseline.
-func (c *Cluster) nextTransitionEndScan() float64 {
-	var min float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if r := nd.m.Remaining(); r > 0 && (min == 0 || r < min) {
-				min = r
-			}
-		}
-	}
-	return min
 }
 
 // Distribute assigns load across On machines, filling the biggest
@@ -608,9 +446,6 @@ func (c *Cluster) nextTransitionEndScan() float64 {
 func (c *Cluster) Distribute(load float64) (served float64, err error) {
 	if load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
 		return 0, fmt.Errorf("cluster: invalid load %v", load)
-	}
-	if c.scanIndex {
-		return c.distributeScan(load)
 	}
 	remaining := load
 	for _, p := range c.poolList {
@@ -677,26 +512,6 @@ func (c *Cluster) Distribute(load float64) (served float64, err error) {
 	return served, nil
 }
 
-// distributeScan is the original per-machine implementation (reference and
-// WithScanIndex baseline).
-func (c *Cluster) distributeScan(load float64) (served float64, err error) {
-	remaining := load
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.State() != machine.On {
-				continue
-			}
-			share := math.Min(remaining, p.arch.MaxPerf)
-			if err := nd.m.SetLoad(share); err != nil {
-				return served, err
-			}
-			served += share
-			remaining -= share
-		}
-	}
-	return served, nil
-}
-
 // Tick advances all machines by dt seconds and returns the total energy
 // consumed, including transition energies. The On fleet of each pool is
 // integrated in one closed-form step from the cached distribution
@@ -714,32 +529,21 @@ func (c *Cluster) Tick(dt float64) (power.Joules, error) {
 	c.now += dt
 	var total power.Joules
 	for _, p := range c.poolList {
-		if c.scanIndex {
-			// Original behavior: every machine, creation order.
-			for _, nd := range p.nodes {
-				e, err := nd.m.Tick(dt)
-				if err != nil {
-					return total, err
-				}
-				total += e
+		// On fleet: one closed-form step per pool.
+		if len(p.on) > 0 && dt > 0 {
+			e := p.onPowerW * dt
+			idle := float64(len(p.on)) * float64(p.arch.IdlePower) * dt
+			p.aggIdle, p.aggIdleComp = power.NeumaierAdd(p.aggIdle, p.aggIdleComp, idle)
+			p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, e-idle)
+			total += power.Joules(e)
+		}
+		// Transitioning machines: exact automata integration.
+		for _, nd := range p.trans {
+			e, err := nd.m.Tick(dt)
+			if err != nil {
+				return total, err
 			}
-		} else {
-			// On fleet: one closed-form step per pool.
-			if len(p.on) > 0 && dt > 0 {
-				e := p.onPowerW * dt
-				idle := float64(len(p.on)) * float64(p.arch.IdlePower) * dt
-				p.aggIdle, p.aggIdleComp = power.NeumaierAdd(p.aggIdle, p.aggIdleComp, idle)
-				p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, e-idle)
-				total += power.Joules(e)
-			}
-			// Transitioning machines: exact automata integration.
-			for _, nd := range p.trans {
-				e, err := nd.m.Tick(dt)
-				if err != nil {
-					return total, err
-				}
-				total += e
-			}
+			total += e
 		}
 		c.foldCompletions(p)
 	}
@@ -800,12 +604,6 @@ func (c *Cluster) Breakdown() power.Breakdown {
 func (c *Cluster) CurrentPower() power.Watts {
 	var pw power.Watts
 	for _, p := range c.poolList {
-		if c.scanIndex {
-			for _, nd := range p.nodes {
-				pw += nd.m.CurrentPower()
-			}
-			continue
-		}
 		pw += power.Watts(p.onPowerW)
 		for _, nd := range p.trans {
 			pw += nd.m.CurrentPower()

@@ -3,12 +3,12 @@ package cluster
 // Differential property tests for the transition min-heap: every indexed
 // fleet query (NextTransitionEnd, Reconfiguring, PendingTransition,
 // Counts, OnCounts, Capacity) must agree with the original O(fleet)
-// linear scans — retained as unexported *Scan reference implementations —
-// after every operation of randomized target/dispatch/tick schedules over
+// linear scans — the test-only *Scan reference in scan_test.go — after
+// every operation of randomized target/dispatch/tick schedules over
 // randomized fleets, including boot-fault schedules and zero-duration
-// transition profiles. A twin-cluster test additionally drives a
-// WithScanIndex cluster (the full baseline code path) in lockstep and
-// requires identical energies and counts.
+// transition profiles. A twin-cluster test additionally drives a cluster
+// through the scan reference's whole code path (scan_test.go's scan*
+// helpers) in lockstep and requires identical energies and counts.
 
 import (
 	"fmt"
@@ -110,29 +110,27 @@ func assertIndexMatchesScan(t *testing.T, c *Cluster, step string) {
 				t.Fatalf("%s: non-Off machine %v on the free list", step, nd.m)
 			}
 		}
-		if !c.scanIndex {
-			// The cached aggregate draw must match a fresh per-machine sum.
-			var want float64
-			for _, nd := range p.on {
-				want += float64(nd.m.CurrentPower())
+		// The cached aggregate draw must match a fresh per-machine sum.
+		var want float64
+		for _, nd := range p.on {
+			want += float64(nd.m.CurrentPower())
+		}
+		if math.Abs(p.onPowerW-want) > 1e-6*(1+want) {
+			t.Fatalf("%s: %s cached On draw %v, machines draw %v", step, p.arch.Name, p.onPowerW, want)
+		}
+		// Shape invariant: the on list materializes the fill-first
+		// pattern (full prefix, one optional partial, idle tail).
+		for i, nd := range p.on {
+			var wantLoad float64
+			switch {
+			case i < p.distFull:
+				wantLoad = p.arch.MaxPerf
+			case i == p.distFull && p.distHasPartial:
+				wantLoad = p.distRem
 			}
-			if math.Abs(p.onPowerW-want) > 1e-6*(1+want) {
-				t.Fatalf("%s: %s cached On draw %v, machines draw %v", step, p.arch.Name, p.onPowerW, want)
-			}
-			// Shape invariant: the on list materializes the fill-first
-			// pattern (full prefix, one optional partial, idle tail).
-			for i, nd := range p.on {
-				var wantLoad float64
-				switch {
-				case i < p.distFull:
-					wantLoad = p.arch.MaxPerf
-				case i == p.distFull && p.distHasPartial:
-					wantLoad = p.distRem
-				}
-				if nd.m.Load() != wantLoad {
-					t.Fatalf("%s: %s on[%d] load %v breaks the fill-first shape (want %v; distFull %d partial %v/%v)",
-						step, p.arch.Name, i, nd.m.Load(), wantLoad, p.distFull, p.distHasPartial, p.distRem)
-				}
+			if nd.m.Load() != wantLoad {
+				t.Fatalf("%s: %s on[%d] load %v breaks the fill-first shape (want %v; distFull %d partial %v/%v)",
+					step, p.arch.Name, i, nd.m.Load(), wantLoad, p.distFull, p.distHasPartial, p.distRem)
 			}
 		}
 	}
@@ -216,12 +214,13 @@ func TestDifferentialHeapVsScanRandomFleets(t *testing.T) {
 	}
 }
 
-// TestDifferentialHeapVsScanTwinClusters drives an indexed cluster and a
-// WithScanIndex baseline cluster through the identical operation sequence
-// and requires the externally observable aggregates — energy, served rate,
-// counts, reconfiguration state — to agree. This covers the baseline's
-// whole code path (scan-mode provision, dispatch, and tick), not just the
-// read queries.
+// TestDifferentialHeapVsScanTwinClusters drives an indexed cluster through
+// the public API and a twin through the scan reference (scanSetTarget,
+// distributeScan, scanTick) with the identical operation sequence, and
+// requires the externally observable aggregates — energy, served rate,
+// counts, reconfiguration state — to agree. This covers the reference's
+// whole code path (scan-mode provision, retirement, dispatch, and tick),
+// not just the read queries.
 func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 	for seed := int64(20); seed <= 26; seed++ {
 		seed := seed
@@ -232,7 +231,7 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanC, err := New(catalog, WithBootFaults(0.25, seed), WithScanIndex())
+			scanC, err := New(catalog, WithBootFaults(0.25, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +244,7 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 						target[a.Name] = rng.Intn(15)
 					}
 					hOn, hOff, herr := heapC.SetTarget(target)
-					sOn, sOff, serr := scanC.SetTarget(target)
+					sOn, sOff, serr := scanC.scanSetTarget(target)
 					if (herr == nil) != (serr == nil) {
 						t.Fatalf("op %d: SetTarget error mismatch: %v vs %v", i, herr, serr)
 					}
@@ -255,7 +254,7 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 				case 1:
 					load := rng.Float64() * (heapC.Capacity() + 10)
 					hServed, herr := heapC.Distribute(load)
-					sServed, serr := scanC.Distribute(load)
+					sServed, serr := scanC.distributeScan(load)
 					if herr != nil || serr != nil {
 						t.Fatalf("op %d: distribute: %v / %v", i, herr, serr)
 					}
@@ -265,23 +264,26 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 				default:
 					dt := float64(rng.Intn(6))
 					he, herr := heapC.Tick(dt)
-					se, serr := scanC.Tick(dt)
+					se, serr := scanC.scanTick(dt)
 					if herr != nil || serr != nil {
 						t.Fatalf("op %d: tick: %v / %v", i, herr, serr)
 					}
 					heapE += float64(he)
 					scanE += float64(se)
 				}
-				if got, want := heapC.Reconfiguring(), scanC.Reconfiguring(); got != want {
+				if got, want := heapC.Reconfiguring(), scanC.reconfiguringScan(); got != want {
 					t.Fatalf("op %d: Reconfiguring %v vs %v", i, got, want)
 				}
-				if got, want := heapC.NextTransitionEnd(), scanC.NextTransitionEnd(); math.Abs(got-want) > timeTol {
+				if got, want := heapC.NextTransitionEnd(), scanC.nextTransitionEndScan(); math.Abs(got-want) > timeTol {
 					t.Fatalf("op %d: NextTransitionEnd %v vs %v", i, got, want)
 				}
 				for _, a := range catalog {
-					if got, want := heapC.activeCount(a.Name), scanC.activeCount(a.Name); got != want {
+					if got, want := heapC.activeCount(a.Name), scanC.activeCountScan(a.Name); got != want {
 						t.Fatalf("op %d: activeCount(%s) %d vs %d", i, a.Name, got, want)
 					}
+				}
+				if got, want := heapC.CurrentPower(), scanC.scanCurrentPower(); math.Abs(float64(got-want)) > 1e-9*(1+math.Abs(float64(want))) {
+					t.Fatalf("op %d: CurrentPower %v vs %v", i, got, want)
 				}
 			}
 			if math.Abs(heapE-scanE) > 1e-6 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/power"
@@ -73,13 +72,7 @@ const foldBlock = 64
 
 // StartFold begins a demand fold over the cluster's current configuration.
 // The returned fold is owned by the cluster and recycled on the next call.
-// It refuses to run under WithScanIndex: the scan baseline materializes
-// per-machine loads every tick and keeps no pool aggregates, so there is
-// nothing to fold (callers fall back to per-sample integration).
-func (c *Cluster) StartFold() (*DemandFold, error) {
-	if c.scanIndex {
-		return nil, fmt.Errorf("cluster: demand folding requires the indexed fleet (not WithScanIndex)")
-	}
+func (c *Cluster) StartFold() *DemandFold {
 	if c.fold == nil {
 		c.fold = &DemandFold{c: c, pools: make([]foldPool, len(c.poolList))}
 	}
@@ -104,7 +97,7 @@ func (c *Cluster) StartFold() (*DemandFold, error) {
 	}
 	f.capacity = lo
 	f.energy.Reset()
-	return f, nil
+	return f
 }
 
 // SlowFoldSamples returns how many samples the cluster's demand folds have

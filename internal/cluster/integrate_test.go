@@ -164,10 +164,7 @@ func TestFoldMatchesPerSampleDispatch(t *testing.T) {
 		}
 		wantB := oracle.Breakdown()
 
-		f, err := folded.StartFold()
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := folded.StartFold()
 		demand, served, violation := f.Fold(w)
 		e, err := f.Commit(w[len(w)-1], float64(len(w)))
 		if err != nil {
@@ -205,10 +202,7 @@ func TestFoldCountsSlowSamples(t *testing.T) {
 	}
 	settle(t, c)
 	fold := func(w []float64) {
-		f, err := c.StartFold()
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := c.StartFold()
 		f.Fold(w)
 		if _, err := f.Commit(w[len(w)-1], float64(len(w))); err != nil {
 			t.Fatal(err)

@@ -25,9 +25,9 @@ package cluster
 // The heap is an *index*, not the source of truth: machine automata still
 // resolve their own transitions inside Machine.Tick, with arithmetic
 // identical to the pre-heap implementation, so energies and states are
-// unchanged to the last bit. The unexported *Scan methods in cluster.go
+// unchanged to the last bit. The test-only *Scan methods in scan_test.go
 // preserve the original O(fleet) implementations as the differential-test
-// reference and the WithScanIndex benchmark baseline.
+// reference.
 
 import "container/heap"
 

@@ -129,8 +129,7 @@ func (m *LinearModel) MaxPerf() float64 { return m.MaxRate }
 func (m *LinearModel) DynamicRange() Watts { return m.Max - m.Idle }
 
 // IntervalEnergy returns the closed-form energy of a constant draw p held
-// for dur seconds (p × Δt). It is the primitive the event-driven simulator
-// integrates with: between events nothing in the model changes, so a whole
+// for dur seconds (p × Δt): while nothing in the model changes, a whole
 // interval collapses into one multiplication instead of one joule-sample
 // per second.
 func IntervalEnergy(p Watts, durSeconds float64) (Joules, error) {
@@ -147,7 +146,7 @@ func IntervalEnergy(p Watts, durSeconds float64) (Joules, error) {
 // it adds v to sum, tracking the rounding error in comp. Folding comp into
 // the final sum recovers the result to far better than plain accumulation
 // — the primitive behind every energy accumulator that must agree across
-// engines integrating in different orders (per second versus per event,
+// engines integrating in different orders (per second versus per span,
 // per machine versus per pool).
 //
 // The branch compares magnitudes as the bit patterns with the sign bit

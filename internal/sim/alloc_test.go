@@ -110,11 +110,11 @@ func TestDemandFoldSlowSamplesRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, cl, _, err := buildBMLRig(tr, planner, BMLConfig{})
+	sc, cl, err := buildBMLRig(tr, planner, BMLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runBMLIntegrator(tr, sc, newResult("bml", tr.Days())); err != nil {
+	if err := runBMLIntegrator(tr, sc, newResult("bml", tr.Days()), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	slow := cl.SlowFoldSamples()

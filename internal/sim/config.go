@@ -263,9 +263,8 @@ const defaultAmortizeSeconds = 378
 // Headroom as the app-class default or 1, a nil predictor as "lookahead",
 // zero amortization as 378 s), so BMLConfig{} and an explicitly spelled
 // default serialize — and therefore fingerprint — identically in every
-// process. ScanIndex and engine options are deliberately excluded: they
-// select result-identical implementations (the differential baselines),
-// not different physics.
+// process. Engine options are deliberately excluded: they select the
+// differential oracle, not different physics.
 func CanonicalConfig(cfg BMLConfig) string {
 	wf := cfg.WindowFactor
 	if wf == 0 {

@@ -58,8 +58,7 @@ func TestCellIDGoldenV1V2(t *testing.T) {
 // TestCanonicalConfigNormalization pins that zero/default spellings of the
 // same physics fingerprint identically — the property that lets every
 // process derive the default cell IDs without coordination — and that each
-// result-affecting knob moves the fingerprint while the result-identical
-// ones (ScanIndex) do not.
+// result-affecting knob moves the fingerprint.
 func TestCanonicalConfigNormalization(t *testing.T) {
 	def := ConfigFingerprint(BMLConfig{})
 	same := []BMLConfig{
@@ -67,7 +66,6 @@ func TestCanonicalConfigNormalization(t *testing.T) {
 		{Headroom: 1},
 		{WindowFactor: 2, Headroom: 1},
 		{PredictorSpec: "lookahead"},
-		{ScanIndex: true},             // differential baseline, identical results
 		{FaultSeed: 99},               // seed is inert without a fault probability
 		{AmortizeSeconds: 378},        // inert without OverheadAware
 		{Inventory: map[string]int{}}, // empty inventory = no inventory

@@ -1,7 +1,8 @@
 package sim
 
-// Differential tests: the event-driven engine must reproduce the legacy
-// 1 Hz tick engine exactly — same energy (≤ 1e-6 J), same QoS accounting,
+// Differential tests: the default engine (the interval integrator) must
+// reproduce the legacy 1 Hz tick engine — same energy (≤ 1e-6 J), same QoS
+// accounting,
 // same reconfiguration counters — on randomized traces, cluster mixes,
 // fault schedules, and scheduler extensions. The tick loop is the oracle:
 // it implements the paper's integration scheme literally, one step per
@@ -29,9 +30,8 @@ import (
 const energyTolJ = 1e-6
 
 // randomStepTrace builds a piecewise-constant trace: load levels hold for
-// random durations between minHold and maxHold seconds. This is the shape
-// the event engine exploits; correctness must not depend on it (other
-// tests feed per-second-varying traces).
+// random durations between minHold and maxHold seconds: long spans with few
+// load changes. Other tests feed per-second-varying traces.
 func randomStepTrace(rng *rand.Rand, seconds int, maxLoad float64, minHold, maxHold int) *trace.Trace {
 	vals := make([]float64, seconds)
 	for i := 0; i < seconds; {
@@ -70,10 +70,11 @@ func randomRigCatalog(rng *rand.Rand) []profile.Arch {
 	return archs
 }
 
+// assertEnginesAgree holds a default-engine result ev to the tick oracle's.
 func assertEnginesAgree(t *testing.T, label string, tick, ev *Result) {
 	t.Helper()
 	if d := math.Abs(float64(tick.TotalEnergy - ev.TotalEnergy)); d > energyTolJ {
-		t.Errorf("%s: total energy diverges by %g J (tick %v, event %v)", label, d, tick.TotalEnergy, ev.TotalEnergy)
+		t.Errorf("%s: total energy diverges by %g J (tick %v, integrator %v)", label, d, tick.TotalEnergy, ev.TotalEnergy)
 	}
 	if len(tick.DailyEnergy) != len(ev.DailyEnergy) {
 		t.Fatalf("%s: daily bucket counts differ: %d vs %d", label, len(tick.DailyEnergy), len(ev.DailyEnergy))
@@ -85,7 +86,7 @@ func assertEnginesAgree(t *testing.T, label string, tick, ev *Result) {
 	}
 	if tick.Decisions != ev.Decisions || tick.SwitchOns != ev.SwitchOns ||
 		tick.SwitchOffs != ev.SwitchOffs || tick.Skipped != ev.Skipped {
-		t.Errorf("%s: scheduler counters differ: tick {dec %d on %d off %d skip %d} vs event {dec %d on %d off %d skip %d}",
+		t.Errorf("%s: scheduler counters differ: tick {dec %d on %d off %d skip %d} vs integrator {dec %d on %d off %d skip %d}",
 			label, tick.Decisions, tick.SwitchOns, tick.SwitchOffs, tick.Skipped,
 			ev.Decisions, ev.SwitchOns, ev.SwitchOffs, ev.Skipped)
 	}
@@ -115,14 +116,15 @@ func assertEnginesAgree(t *testing.T, label string, tick, ev *Result) {
 	}
 }
 
-// runBoth executes the BML scenario on both engines.
+// runBoth executes the BML scenario on the tick oracle and on the default
+// engine.
 func runBoth(t *testing.T, tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (tick, ev *Result) {
 	t.Helper()
 	tick, err := RunBML(tr, planner, cfg, WithTickEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err = RunBML(tr, planner, cfg, WithEventEngine())
+	ev, err = RunBML(tr, planner, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +202,13 @@ func TestDifferentialBMLOverheadAwareAndApp(t *testing.T) {
 	// The overhead-aware run must actually skip (per-second accounting).
 	tick, ev := runBoth(t, tr, planner, BMLConfig{OverheadAware: true, AmortizeSeconds: 5})
 	if tick.Skipped == 0 || tick.Skipped != ev.Skipped {
-		t.Errorf("skip accounting: tick %d vs event %d (want equal, nonzero)", tick.Skipped, ev.Skipped)
+		t.Errorf("skip accounting: tick %d vs integrator %d (want equal, nonzero)", tick.Skipped, ev.Skipped)
 	}
 }
 
 func TestDifferentialBMLPerSecondPredictors(t *testing.T) {
-	// Predictors whose forecast changes every second collapse the event
-	// engine to per-second decisions; results must still match exactly.
+	// Predictors whose forecast changes every second force the decision
+	// scan through every second; results must still match exactly.
 	tr := dayTrace(t, 1, 250)
 	planner := fastPlanner(t)
 	base, err := predict.NewLookaheadMax(tr, 60)

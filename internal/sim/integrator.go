@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -10,38 +11,44 @@ import (
 // This file implements the dispatch-aware interval integrator, the default
 // BML engine.
 //
-// The per-sample event engine (engine.go) pays one engine iteration per
-// load or prediction change, which on a raw un-quantized 1 Hz trace means
-// one per second — the tick loop's asymptotics with a better constant. The
-// integrator removes trace changes from the event set entirely: between two
-// scheduler events the machine configuration is fixed, and
-// profile.Arch.PowerAt is affine in load, so under fill-first dispatch each
-// pool draws n·IdlePower + slope·served, where served is the demand clamped
-// to the pool's band of cumulative capacity (cluster.DemandFold). The
-// engine only iterates on
+// The tick loop (engine.go) pays one scheduler step per simulated second.
+// The integrator iterates only on scheduler events: between two of them
+// the machine configuration is fixed, and profile.Arch.PowerAt is affine
+// in load, so under fill-first dispatch each pool draws
+// n·IdlePower + slope·served, where served is the demand clamped to the
+// pool's band of cumulative capacity (cluster.DemandFold). The engine only
+// iterates on
 //
 //   - decisions that act (discovered by sched.DecideSpan's forward scan),
 //   - transition completions and migration-lock expiries (NextWake),
-//   - day boundaries and the trace end.
+//   - day boundaries, telemetry bucket boundaries (RunBMLRecorded only)
+//     and the trace end.
 //
 // Inside each span the window of raw samples is folded in closed form
 // (cluster.DemandFold.Fold): span energy needs only each pool's sum of
 // clamped demand, which a 64-sample block yields from its min, max and
 // compensated sum unless a band edge falls inside the block. The result
-// differs from the per-sample oracles only by rounding — the raw-trace
-// differential suite holds all three engines to ≤1e-6 J and exact
-// counters. The engine's cost is O(scheduler events) iterations plus one
-// allocation-free pass over the samples (and sched's per-second decision
-// scan), which is what makes raw traces as cheap per simulated second as
-// quantized ones.
+// differs from the tick oracle only by rounding — the differential suites
+// hold the two to ≤1e-6 J and exact counters, on raw traces too. The
+// engine's cost is O(scheduler events) iterations plus one allocation-free
+// pass over the samples (and sched's per-second decision scan), which is
+// what makes raw traces as cheap per simulated second as quantized ones.
 
-// runBMLIntegrator is the interval-integrator BML engine loop.
-func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
+// runBMLIntegrator is the interval-integrator BML engine loop. A positive
+// bucketSeconds also ends spans at multiples of it, so that each span lies
+// inside one telemetry bucket. obs, when non-nil, sees every span [t, next)
+// with its demand integral (request-seconds) and the total energy charged
+// to it: fleet integration plus any decision-instant migration energy.
+// Plain runs pass 0 and nil.
+func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucketSeconds int, obs func(t, next int, demandInt float64, e power.Joules)) error {
 	n := tr.Len()
 	for t := 0; t < n; {
-		// Spans never cross day boundaries, so addEnergy's day bucketing is
-		// exact without splitting energies after the fact.
+		// Spans never cross day (or bucket) boundaries, so addEnergy's day
+		// bucketing is exact without splitting energies after the fact.
 		limit := (t/trace.SecondsPerDay + 1) * trace.SecondsPerDay
+		if bucketSeconds > 0 {
+			limit = min(limit, (t/bucketSeconds+1)*bucketSeconds)
+		}
 		if limit > n {
 			limit = n
 		}
@@ -60,16 +67,16 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 		}
 
 		window := tr.Window(t, next)
-		fold, err := sc.StartDemandFold()
-		if err != nil {
-			return err
-		}
+		fold := sc.StartDemandFold()
 		demandInt, servedInt, violation := fold.Fold(window)
 		e, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}
 		res.addEnergy(t, e+rep.Energy)
+		if obs != nil {
+			obs(t, next, demandInt, e+rep.Energy)
+		}
 		if err := res.QoS.ObserveSpan(float64(next-t), demandInt, servedInt, violation); err != nil {
 			return err
 		}

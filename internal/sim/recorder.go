@@ -30,13 +30,13 @@ type Recording struct {
 
 // RunBMLRecorded is RunBML with per-bucket telemetry.
 //
-// By default it runs on the event engine: bucket boundaries are emitted as
-// timeline events so no integrated interval spans a bucket, and each
-// bucket's mean load, fleet draw, and static-reference draw are folded in
-// analytically per interval — recording costs O(events + buckets), not
-// O(trace seconds). WithTickEngine selects the legacy 1 Hz sampling loop
-// (one scheduler step and one joule-sample per simulated second), retained
-// solely as the differential-testing oracle for the event-driven recorder
+// By default it runs on the interval integrator with bucket edges as extra
+// span boundaries, so each span lies inside one bucket and adds its demand
+// integral, energy and static-reference draw to that bucket in closed
+// form: recording costs O(spans + buckets), not O(trace seconds).
+// WithTickEngine selects the legacy 1 Hz sampling loop (one scheduler step
+// and one joule-sample per simulated second), retained solely as the
+// differential-testing oracle for the integrator's recorder
 // (recorder_differential_test.go holds the two bucket-for-bucket to
 // ≤1e-6 J with exactly equal counters).
 func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucketSeconds int, opts ...Option) (*Recording, error) {
@@ -54,7 +54,7 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 		nStatic = 1
 	}
 
-	sc, cl, pred, err := buildBMLRig(tr, planner, cfg)
+	sc, cl, err := buildBMLRig(tr, planner, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -67,15 +67,12 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 	}
 	seconds := make([]float64, buckets)
 	// Bucket energies use compensated accumulation, like the Result
-	// totals: the tick oracle folds one sample per second while the event
-	// path folds one per interval, and the recording differential holds
+	// totals: the tick oracle folds one sample per second while the
+	// integrator folds one per span, and the recording differential holds
 	// the two orderings to ≤1e-6 J per bucket even for day-wide buckets.
 	powerComp := make([]float64, buckets)
 	res := newResult("Big-Medium-Little", tr.Days())
-	// Recording needs the per-interval observer stream (constant demand per
-	// interval, bucket-boundary events), which only the per-sample event
-	// path provides: any non-tick option records event-wise.
-	if o.engine == engineTick {
+	if o.tick {
 		// Legacy 1 Hz oracle: one sample per simulated second.
 		for t := 0; t < tr.Len(); t++ {
 			demand := tr.At(t)
@@ -95,16 +92,17 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 			seconds[b]++
 		}
 	} else {
-		tl := newBucketTimeline(tr, pred, bucketSeconds)
-		err := runBMLEventObserved(tr, sc, res, tl, func(t, next int, demand float64, e power.Joules) {
-			// The bucket boundary is a timeline event, so [t, next) lies
-			// inside exactly one bucket and the whole interval's energy,
-			// demand-seconds, and reference draw belong to it.
+		// The static fleet never clamps (nStatic is sized for the trace
+		// peak), so its fill-first draw is affine in the load: a span's
+		// reference energy is n·IdlePower·dt + slope·demandInt.
+		idle := float64(nStatic) * float64(big.IdlePower)
+		slope := float64(big.MaxPower-big.IdlePower) / big.MaxPerf
+		err := runBMLIntegrator(tr, sc, res, bucketSeconds, func(t, next int, demandInt float64, e power.Joules) {
 			b := t / bucketSeconds
 			dt := float64(next - t)
-			rec.Load[b] += demand * dt
+			rec.Load[b] += demandInt
 			rec.Power[b], powerComp[b] = power.NeumaierAdd(rec.Power[b], powerComp[b], float64(e))
-			rec.StaticPower[b] += fleetPowerN(&big, nStatic, demand) * dt
+			rec.StaticPower[b] += idle*dt + slope*demandInt
 			seconds[b] += dt
 		})
 		if err != nil {

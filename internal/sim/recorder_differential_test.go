@@ -1,8 +1,8 @@
 package sim
 
-// Differential tests for the event-driven recorder: RunBMLRecorded on the
-// event engine (bucket-boundary events, analytic per-interval folding)
-// must reproduce the legacy 1 Hz sampling loop — retained behind
+// Differential tests for the integrator's recorder: RunBMLRecorded on the
+// default engine (bucket edges as span boundaries, closed-form per-span
+// folding) must reproduce the legacy 1 Hz sampling loop — retained behind
 // WithTickEngine as the oracle — bucket for bucket: energy-derived mean
 // power within ≤1e-6 J per bucket-second, loads and reference draws to
 // numerical noise, and every scheduler counter exactly. This was the gate
@@ -33,7 +33,7 @@ func assertRecordingsAgree(t *testing.T, label string, tick, ev *Recording) {
 		// Power is mean Watts over the bucket; ×width gives the bucket's
 		// energy, which is the quantity held to the engine-wide 1e-6 J bar.
 		if d := math.Abs(tick.Power[b]-ev.Power[b]) * float64(tick.BucketSeconds); d > energyTolJ {
-			t.Errorf("%s: bucket %d energy diverges by %g J (tick %v W, event %v W)",
+			t.Errorf("%s: bucket %d energy diverges by %g J (tick %v W, integrator %v W)",
 				label, b, d, tick.Power[b], ev.Power[b])
 		}
 		if d := math.Abs(tick.Load[b] - ev.Load[b]); d > 1e-9*(1+math.Abs(tick.Load[b])) {
@@ -53,7 +53,7 @@ func recordBoth(t *testing.T, tr *trace.Trace, cfg BMLConfig, bucketSeconds int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err = RunBMLRecorded(tr, planner, cfg, bucketSeconds, WithEventEngine())
+	ev, err = RunBMLRecorded(tr, planner, cfg, bucketSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func recordBoth(t *testing.T, tr *trace.Trace, cfg BMLConfig, bucketSeconds int)
 
 func TestDifferentialRecordingBucketWidths(t *testing.T) {
 	// A plateau trace whose intervals span many seconds is the shape where
-	// bucket-boundary events actually split integration intervals; widths
+	// bucket edges actually split integration spans; widths
 	// that divide the trace, widths that do not, and a width larger than a
 	// day all have to agree with per-second sampling.
 	rng := rand.New(rand.NewSource(5))
@@ -83,15 +83,14 @@ func TestDifferentialRecordingFaultsAndApp(t *testing.T) {
 		"plain":          {},
 		"faults":         {BootFaultProb: 0.35, FaultSeed: 11},
 		"app-overhead":   {App: &spec, OverheadAware: true, AmortizeSeconds: 5},
-		"scan-baseline":  {ScanIndex: true},
 		"noisy-per-sec":  {},
 		"scaled-fleet-8": {},
 	} {
 		rtr := tr
 		switch name {
 		case "noisy-per-sec":
-			// Per-second-varying demand collapses the event engine to 1 s
-			// intervals; recording must survive the degenerate case too.
+			// Per-second-varying demand: every span folds many distinct
+			// samples; recording must survive it too.
 			rtr = dayTrace(t, 1, 220)
 		case "scaled-fleet-8":
 			var err error
@@ -106,7 +105,7 @@ func TestDifferentialRecordingFaultsAndApp(t *testing.T) {
 
 // TestRecordedMatchesPlainRunOnPlateaus pins the relationship between the
 // recorded aggregate and a plain (no-telemetry) run on a trace whose
-// intervals are actually split by bucket boundaries: the totals may differ
+// spans are actually split by bucket boundaries: the totals may differ
 // only by summation regrouping, far below the engine tolerance.
 func TestRecordedMatchesPlainRunOnPlateaus(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

@@ -12,40 +12,34 @@
 //   - LowerBound Theoretical: the unreachable bound where the ideal
 //     combination is re-established every second at zero switching cost.
 //
-// Three engines execute the scenarios, all producing identical results.
-// The default interval integrator (integrator.go) iterates only on
-// scheduler events — decisions that act (found by sched.DecideSpan's
+// Two engines execute the scenarios, producing the same results to
+// rounding. The default interval integrator (integrator.go) iterates only
+// on scheduler events — decisions that act (found by sched.DecideSpan's
 // forward scan), transition completions and lock expiries, day boundaries
 // — and folds the raw trace samples inside a span in closed form
 // (cluster.DemandFold: PowerAt is affine, so a span's energy needs only
 // each pool's sum of clamped demand), so un-quantized 1 Hz traces simulate
-// as cheaply per second as quantized ones. The
-// per-sample event engine (engine.go, events.go), selectable with
-// WithEventEngine(), additionally pays one engine iteration per
-// trace-level load change and prediction change — equivalent on
-// piecewise-constant traces, one iteration per second on raw ones; it
-// remains the integrator's differential oracle, the fallback under
-// cluster.WithScanIndex (no pool aggregates to fold), and the engine
-// behind per-bucket telemetry (RunBMLRecorded, recorder.go, which needs
-// the per-interval observer stream). Per-event cost of both is
-// independent of fleet size: the cluster indexes pending transitions in a
-// min-heap and integrates each pool's On fleet in closed form from its
-// fill-first load shape, so thousand-node runs pay per event for the
-// architectures and the machines mid-transition, not for the fleet. The
-// three bound scenarios need no scheduler: under every engine but tick they
-// run one day-span kernel (engine.go) that sizes each fleet once per day
-// and walks the day's samples run by run, for one bound or for all three in
-// a single walk (RunBounds); an upper-bound fleet whose day peak fits its
-// capacity charges the day in closed form from the day's demand integral.
+// as cheaply per second as quantized ones. Per-bucket telemetry
+// (RunBMLRecorded, recorder.go) runs on the same loop, with bucket edges
+// as extra span boundaries. Per-span cost is independent of fleet size:
+// the cluster indexes pending transitions in a min-heap and integrates
+// each pool's On fleet in closed form from its fill-first load shape, so
+// thousand-node runs pay per span for the architectures and the machines
+// mid-transition, not for the fleet. The three bound scenarios need no
+// scheduler: outside the tick oracle they run one day-span kernel
+// (engine.go) that sizes each fleet once per day and walks the day's
+// samples run by run, for one bound or for all three in a single walk
+// (RunBounds); an upper-bound fleet whose day peak fits its capacity
+// charges the day in closed form from the day's demand integral.
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
-// behind WithTickEngine() as a differential-testing oracle ONLY; it is no
-// longer a supported production path. The differential suites
+// behind WithTickEngine() as the differential-testing oracle ONLY; it is
+// no longer a supported production path. The differential suites
 // (differential_test.go, recorder_differential_test.go,
-// integrator_differential_test.go) hold all engines pairwise to ≤1e-6 J
-// and exactly equal counters on randomized traces, fleets, fault
-// schedules, and raw un-quantized World Cup segments.
+// integrator_differential_test.go) hold the two engines to ≤1e-6 J and
+// exactly equal counters on randomized traces, fleets, fault schedules,
+// and raw un-quantized World Cup segments.
 //
 // Results report total and per-day energy (the series of Figure 5) plus
 // QoS and reconfiguration statistics. RunAll (parallel.go) runs one
@@ -102,8 +96,8 @@ type Result struct {
 	Breakdown power.Breakdown
 
 	// Neumaier compensation terms for the energy accumulators. The tick
-	// engine performs one addition per simulated second while the event
-	// engine performs one per interval; compensated summation keeps both
+	// engine performs one addition per simulated second while the
+	// integrator performs one per span; compensated summation keeps both
 	// orderings exact to well below the 1e-6 J differential-test bound
 	// even on month-long traces. finalize folds them into the totals.
 	totalComp float64
@@ -187,11 +181,6 @@ type BMLConfig struct {
 	OverheadAware bool
 	// AmortizeSeconds is the amortization horizon (0 = 378 s).
 	AmortizeSeconds float64
-	// ScanIndex answers the cluster's fleet queries with the original
-	// O(fleet) linear scans instead of the transition min-heap and pool
-	// aggregates (cluster.WithScanIndex). It is the differential-testing
-	// and benchmarking baseline; real runs should leave it false.
-	ScanIndex bool
 }
 
 // denseTableLimit is the largest grid size for which buildBMLRig
@@ -250,13 +239,11 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 	return table, pred, headroom, nil
 }
 
-// buildBMLRig assembles the scheduler, cluster, and predictor for a BML
-// run. The predictor is returned so the event engine can derive
-// prediction-change events from it.
-func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.Scheduler, *cluster.Cluster, predict.Predictor, error) {
+// buildBMLRig assembles the scheduler and cluster for a BML run.
+func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.Scheduler, *cluster.Cluster, error) {
 	table, pred, headroom, err := LiveRig(tr, planner, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var clOpts []cluster.Option
 	if cfg.Inventory != nil {
@@ -267,12 +254,9 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 		// observes independent (but individually reproducible) failures.
 		clOpts = append(clOpts, cluster.WithBootFaults(cfg.BootFaultProb, cfg.FaultSeed+cfg.RepeatSeed))
 	}
-	if cfg.ScanIndex {
-		clOpts = append(clOpts, cluster.WithScanIndex())
-	}
 	cl, err := cluster.New(planner.Candidates(), clOpts...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	sc, err := sched.New(sched.Config{
 		Table:           table,
@@ -284,16 +268,15 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 		AmortizeSeconds: cfg.AmortizeSeconds,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return sc, cl, pred, nil
+	return sc, cl, nil
 }
 
 // RunBML simulates the heterogeneous infrastructure under the proactive
 // scheduler over tr, using the planner's candidate classes and combination
-// table. The interval integrator is used unless WithEventEngine or
-// WithTickEngine selects an oracle engine (or cfg.ScanIndex forces the
-// per-sample event path).
+// table. The interval integrator is used unless WithTickEngine selects the
+// 1 Hz oracle.
 func RunBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, error) {
 	res, _, err := runBML(tr, planner, cfg, false, opts)
 	return res, err
@@ -312,22 +295,16 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 		return nil, nil, errors.New("sim: nil trace or planner")
 	}
 	o := buildOptions(opts)
-	sc, cl, pred, err := buildBMLRig(tr, planner, cfg)
+	sc, cl, err := buildBMLRig(tr, planner, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	res := newResult("Big-Medium-Little", tr.Days())
-	switch {
-	case o.engine == engineTick:
+	if o.tick {
 		err = runBMLTick(tr, sc, res)
-	case o.engine == engineEvent || cfg.ScanIndex:
-		// The scan-index baseline materializes per-machine loads every tick
-		// and keeps no pool aggregates, so there is nothing for a demand
-		// fold to replay: ScanIndex runs always take the per-sample path.
-		err = runBMLEvent(tr, sc, pred, res)
-	default:
-		err = runBMLIntegrator(tr, sc, res)
+	} else {
+		err = runBMLIntegrator(tr, sc, res, 0, nil)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -402,8 +379,8 @@ const (
 	legLowerBound
 )
 
-// runBounds runs the selected bound scenarios: through one boundsFold
-// under every engine but tick, one 1 Hz loop per scenario under tick.
+// runBounds runs the selected bound scenarios: through one boundsFold by
+// default, one 1 Hz loop per scenario under tick.
 func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, legs boundLeg, o options) (*ScenarioSet, error) {
 	if tr == nil {
 		return nil, errors.New("sim: nil trace")
@@ -453,7 +430,7 @@ func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, leg
 		set.LowerBound = newResult("LowerBound Theoretical", days)
 		k.lower, k.solver = set.LowerBound, solver
 	}
-	if o.engine != engineTick {
+	if !o.tick {
 		if err := k.run(tr, peaks); err != nil {
 			return nil, err
 		}

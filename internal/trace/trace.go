@@ -246,8 +246,7 @@ func (t *Trace) SlidingMax(width int) ([]float64, error) {
 
 // NextChange returns the first second u > i at which the load differs from
 // the load at i, or Len() when the trace is constant from i onward.
-// Negative i clamps to 0; i at or past the end returns Len(). This is the
-// event-driven simulator's trace-change event source.
+// Negative i clamps to 0; i at or past the end returns Len().
 func (t *Trace) NextChange(i int) int {
 	n := len(t.values)
 	if i < 0 {
@@ -294,9 +293,7 @@ func (t *Trace) Window(from, to int) []float64 {
 // seconds is replaced by that window's mean — a piecewise-constant trace
 // modeling load known at coarser-than-1 Hz granularity (e.g. per-minute
 // aggregated access logs). The trailing partial window averages its own
-// samples. Quantized traces are what make the event-driven simulator
-// dramatically faster than the 1 Hz tick loop: fewer load changes means
-// fewer events.
+// samples.
 func (t *Trace) Quantize(width int) (*Trace, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("trace: invalid quantize width %d", width)

@@ -22,12 +22,12 @@
 // which compare against a committed snapshot and so absorb host-speed
 // differences badly — a ratio gate is host-independent: both sides run on
 // the same machine in the same invocation, so it can assert algorithmic
-// claims ("the interval integrator is ≥10x the per-sample event path on a
-// raw trace") without flaking on slow runners.
+// claims ("the interval integrator is ≥10x the tick oracle on a raw
+// trace") without flaking on slow runners.
 //
 // Usage:
 //
-//	go test -run xxx -bench 'EngineDayTrace|FleetScaling' -benchtime 1x . | tee bench.txt
+//	go test -run xxx -bench 'EngineDayTrace|EngineMonthTrace|EngineMonthAllScenarios|EngineMonthBoundsRaw|SweepGrid|ShardedSweep|FleetScaling' -benchtime 1x . | tee bench.txt
 //	go run ./scripts/benchcheck -baseline BENCH_sim.json -results bench.txt -factor 10
 package main
 
