@@ -157,6 +157,21 @@ func (c Combination) SameNodes(o Combination) bool {
 	return true
 }
 
+// sameSlotNodes reports whether two combinations laid out over the same
+// candidate order use the same node count in every slot — SameNodes
+// without its maps, for the entries of one Table.
+func sameSlotNodes(a, b Combination) bool {
+	if len(a.Slots) != len(b.Slots) {
+		return false
+	}
+	for i := range a.Slots {
+		if a.Slots[i].Arch.Name != b.Slots[i].Arch.Name || a.Slots[i].Nodes() != b.Slots[i].Nodes() {
+			return false
+		}
+	}
+	return true
+}
+
 // NodeDelta describes, for one architecture, how many nodes to switch on
 // (positive) or off (negative) to turn combination "from" into "to".
 type NodeDelta struct {

@@ -45,6 +45,10 @@ type exactTable struct {
 	fullArc []int     // knapsack parent: arch used at k (-1 none)
 	partArc []int     // partial arch chosen at k (-1 if pure full)
 	partX   []int     // partial load in units when partArc >= 0
+	// bounded reports that every cost entry is finite, non-negative and at
+	// most half the largest float64, so that no lookup — an entry or an
+	// interpolation between two — is invalid. Checked once, at build.
+	bounded bool
 }
 
 // newExactTable builds the DP up to maxRate (inclusive) on the given grid
@@ -133,6 +137,13 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 			}
 		}
 	}
+	t.bounded = true
+	for _, c := range t.cost {
+		if !(c >= 0 && c <= math.MaxFloat64/2) {
+			t.bounded = false
+			break
+		}
+	}
 	return t
 }
 
@@ -200,10 +211,11 @@ func (t *exactTable) powersAt(rates []float64, out []power.Watts) {
 }
 
 // lookup sets out[i] to the optimal power at exacts[i] grid units. A rate
-// of at most zero needs no power.
+// of at most zero needs no power. A bounded table holds no infinite entry,
+// so it interpolates without testing for one.
 func (t *exactTable) lookup(exacts []float64, out []power.Watts) {
 	out = out[:len(exacts)]
-	cost := t.cost
+	cost, bounded := t.cost, t.bounded
 	for i, exact := range exacts {
 		var p float64
 		if exact > 0 {
@@ -211,7 +223,7 @@ func (t *exactTable) lookup(exacts []float64, out []power.Watts) {
 			p = cost[k1]
 			if k0 := k1 - 1; k0 >= 0 && float64(k1) > exact {
 				c0, c1 := cost[k0], cost[k1]
-				if !math.IsInf(c0, 1) && !math.IsInf(c1, 1) {
+				if bounded || (!math.IsInf(c0, 1) && !math.IsInf(c1, 1)) {
 					frac := exact - float64(k0)
 					p = c0 + frac*(c1-c0)
 				}
@@ -298,6 +310,14 @@ func (s *ExactSolver) PowerAt(rate float64) power.Watts {
 func (s *ExactSolver) PowersAt(rates []float64, out []power.Watts) {
 	s.t.powersAt(rates, out)
 }
+
+// AlwaysValid reports whether PowerAt returns a valid power
+// (power.Watts.IsValid) for every rate, as checked once when the table was
+// built: every entry is finite, non-negative and at most half the largest
+// float64, so that no interpolation between two entries can overflow.
+// When it is false, some rate may have an infinite optimum, and callers
+// must check each power they look up.
+func (s *ExactSolver) AlwaysValid() bool { return s.t.bounded }
 
 // CombinationAt reconstructs the optimal machine multiset for rate.
 func (s *ExactSolver) CombinationAt(rate float64) Combination {

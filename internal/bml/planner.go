@@ -291,15 +291,32 @@ func (p *Planner) BMLLinear() *power.LinearModel {
 }
 
 // Table precomputes combinations for every grid rate in [0, maxRate] —
-// the "ideal BML combination" lookup used by the scheduler and Figure 4.
+// the "ideal BML combination" lookup used by the scheduler and Figure 4 —
+// and groups the entries into bands of equal node counts (see Band).
 func (p *Planner) Table(maxRate float64) *Table {
 	n := int(math.Ceil(maxRate/p.step - 1e-9))
 	if n < 0 {
 		n = 0
 	}
-	t := &Table{step: p.step, combos: make([]Combination, n+1)}
+	t := &Table{
+		step:   p.step,
+		combos: make([]Combination, n+1),
+		band:   make([]int32, n+1),
+		bands:  []rateBand{{lo: math.Inf(-1), hi: math.Inf(1)}},
+	}
 	for k := 0; k <= n; k++ {
 		t.combos[k] = p.Combination(float64(k) * p.step)
+		if k == 0 {
+			continue
+		}
+		if sameSlotNodes(t.combos[k], t.combos[k-1]) {
+			t.band[k] = t.band[k-1]
+			continue
+		}
+		lo := t.threshold(k)
+		t.bands[len(t.bands)-1].hi = lo
+		t.bands = append(t.bands, rateBand{lo: lo, hi: math.Inf(1)})
+		t.band[k] = int32(len(t.bands) - 1)
 	}
 	return t
 }
@@ -308,19 +325,60 @@ func (p *Planner) Table(maxRate float64) *Table {
 type Table struct {
 	step   float64
 	combos []Combination
+	// band[k] indexes bands: the maximal run of consecutive entries with
+	// the node counts of entry k, as the rate interval At maps onto it.
+	band  []int32
+	bands []rateBand
 }
+
+// rateBand is the rate interval [lo, hi).
+type rateBand struct{ lo, hi float64 }
 
 // At returns the combination for the given rate, rounding demand up to the
 // grid and clamping to the precomputed range.
 func (t *Table) At(rate float64) Combination {
+	return t.combos[t.index(rate)]
+}
+
+// index is At's entry for rate. It is monotone in rate.
+func (t *Table) index(rate float64) int {
 	if rate <= 0 {
-		return t.combos[0]
+		return 0
 	}
 	k := int(math.Ceil(rate/t.step - 1e-9))
 	if k >= len(t.combos) {
 		k = len(t.combos) - 1
 	}
-	return t.combos[k]
+	return k
+}
+
+// threshold returns the least rate that At maps to entry k or above, for
+// k >= 1. It bisects over the bit patterns of the positive float64s, which
+// order like their values; index is monotone, so the rates that reach k
+// are one upper interval.
+func (t *Table) threshold(k int) float64 {
+	reaches := func(rate float64) bool { return math.Ceil(rate/t.step-1e-9) >= float64(k) }
+	below, at := uint64(0), math.Float64bits(math.MaxFloat64) // +0 does not reach k; the largest float does
+	for at-below > 1 {
+		mid := below + (at-below)/2
+		if reaches(math.Float64frombits(mid)) {
+			at = mid
+		} else {
+			below = mid
+		}
+	}
+	return math.Float64frombits(at)
+}
+
+// Band returns the rate interval [lo, hi) on which At keeps returning
+// combinations with the node counts of At(rate): the maximal run of
+// consecutive entries with equal node counts around rate's entry. Every
+// rate lies in its own band; lo is -Inf for the band at zero and hi is
+// +Inf for the band the clamp extends. The same node counts may recur in
+// a later band.
+func (t *Table) Band(rate float64) (lo, hi float64) {
+	b := t.bands[t.band[t.index(rate)]]
+	return b.lo, b.hi
 }
 
 // MaxRate returns the largest precomputed rate.

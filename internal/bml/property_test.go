@@ -348,3 +348,86 @@ func TestPropertyUnitStepMatchesDivision(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Table.Band against At. For random catalogs, grid steps and table sizes:
+// consecutive entries share a band exactly when their combinations have
+// equal node counts; every band edge is exact, At mapping the edge itself
+// into the band and math.Nextafter below it out of it; and a rate lies in
+// the band of another exactly when At maps both into the same run —
+// random rates, products v·h with headroom h != 1, rates at or below
+// zero, and rates past the clamp at the top of the table.
+func TestPropertyTableBandMatchesAt(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		step := []float64{1, 0.5, 0.37, 2.5, 1.0 / 3}[rng.Intn(5)]
+		p, err := NewPlanner(randomCatalog(seed, 1+rng.Intn(4)), WithStep(step))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		maxRate := 20 + 600*rng.Float64()
+		tab := p.Table(maxRate)
+		for k := 1; k < tab.Len(); k++ {
+			if same := tab.combos[k].SameNodes(tab.combos[k-1]); same != (tab.band[k] == tab.band[k-1]) {
+				t.Logf("seed %d: entries %d and %d: same nodes %v, same band %v", seed, k-1, k, same, !same)
+				return false
+			}
+		}
+		run := func(rate float64) int32 { return tab.band[tab.index(rate)] }
+		for b, band := range tab.bands {
+			if b == 0 {
+				if !math.IsInf(band.lo, -1) {
+					t.Logf("seed %d: the first band starts at %v", seed, band.lo)
+					return false
+				}
+				continue
+			}
+			below := math.Nextafter(band.lo, math.Inf(-1))
+			if run(band.lo) != int32(b) || run(below) != int32(b-1) || tab.bands[b-1].hi != band.lo {
+				t.Logf("seed %d: band %d edge %v: At maps it to run %d and %v to run %d", seed, b, band.lo, run(band.lo), below, run(below))
+				return false
+			}
+			if tab.At(below).SameNodes(tab.At(band.lo)) {
+				t.Logf("seed %d: bands %d and %d have equal node counts at their edge", seed, b-1, b)
+				return false
+			}
+		}
+		if last := tab.bands[len(tab.bands)-1]; !math.IsInf(last.hi, 1) {
+			t.Logf("seed %d: the last band ends at %v", seed, last.hi)
+			return false
+		}
+		rates := []float64{0, math.Copysign(0, -1), -1, math.Inf(-1), 1e-300, tab.MaxRate(), maxRate, 10 * maxRate}
+		for i := 0; i < 300; i++ {
+			v, h := rng.Float64()*maxRate, 1+rng.Float64()
+			rates = append(rates, v, v*h, float64(rng.Intn(int(maxRate/step)+1))*step, v/h*h)
+		}
+		for i, r := range rates {
+			lo, hi := tab.Band(r)
+			if !(lo <= r && r < hi) {
+				t.Logf("seed %d: rate %v outside its band [%v, %v)", seed, r, lo, hi)
+				return false
+			}
+			x := rates[(i*7+3)%len(rates)]
+			if in := lo <= x && x < hi; in != (run(x) == run(r)) {
+				t.Logf("seed %d: rate %v in the band [%v, %v) of %v: %v, same run %v", seed, x, lo, hi, r, in, !in)
+				return false
+			}
+			if in := lo <= x && x < hi; in && !tab.At(x).SameNodes(tab.At(r)) {
+				t.Logf("seed %d: rates %v and %v share a band but not node counts", seed, x, r)
+				return false
+			}
+		}
+		if _, hi := tab.Band(10 * maxRate); !math.IsInf(hi, 1) || run(10*maxRate) != run(tab.MaxRate()) {
+			t.Logf("seed %d: the clamp at the top of the table leaves its last band", seed)
+			return false
+		}
+		if lo, _ := tab.Band(-1); !math.IsInf(lo, -1) || run(-1) != run(0) {
+			t.Logf("seed %d: a negative rate leaves the band of zero", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}

@@ -193,9 +193,10 @@ func (c *Cluster) Architectures() []profile.Arch {
 	return append([]profile.Arch(nil), c.archs...)
 }
 
-// activeCount returns the number of machines counting toward the target:
-// On plus Booting (a booting machine has been committed to the target).
-func (c *Cluster) activeCount(arch string) int {
+// ActiveCount returns the number of machines of arch counting toward the
+// target: On plus Booting (a booting machine has been committed to the
+// target). An architecture the cluster does not host has none.
+func (c *Cluster) ActiveCount(arch string) int {
 	p := c.pools[arch]
 	if p == nil {
 		return 0
@@ -203,11 +204,23 @@ func (c *Cluster) activeCount(arch string) int {
 	return len(p.on) + p.nBooting
 }
 
+// ActiveArchs returns how many architectures have a positive ActiveCount:
+// the size of the Counts map, without building it.
+func (c *Cluster) ActiveArchs() int {
+	n := 0
+	for _, p := range c.poolList {
+		if len(p.on)+p.nBooting > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Counts returns the per-architecture active machine counts (On+Booting).
 func (c *Cluster) Counts() map[string]int {
 	out := make(map[string]int, len(c.archs))
 	for _, a := range c.archs {
-		if n := c.activeCount(a.Name); n > 0 {
+		if n := c.ActiveCount(a.Name); n > 0 {
 			out[a.Name] = n
 		}
 	}
@@ -241,7 +254,7 @@ func (c *Cluster) SetTarget(target map[string]int) (switchedOn, switchedOff int,
 	}
 	for _, p := range c.poolList {
 		want := target[p.arch.Name]
-		have := c.activeCount(p.arch.Name)
+		have := c.ActiveCount(p.arch.Name)
 		switch {
 		case have < want:
 			for have < want {

@@ -71,10 +71,17 @@ func assertIndexMatchesScan(t *testing.T, c *Cluster, step string) {
 	if got, want := c.Capacity(), c.capacityScan(); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		t.Fatalf("%s: Capacity = %v, scan says %v", step, got, want)
 	}
+	active := 0
 	for _, a := range c.archs {
-		if got, want := c.activeCount(a.Name), c.activeCountScan(a.Name); got != want {
-			t.Fatalf("%s: activeCount(%s) = %d, scan says %d", step, a.Name, got, want)
+		if got, want := c.ActiveCount(a.Name), c.activeCountScan(a.Name); got != want {
+			t.Fatalf("%s: ActiveCount(%s) = %d, scan says %d", step, a.Name, got, want)
 		}
+		if c.activeCountScan(a.Name) > 0 {
+			active++
+		}
+	}
+	if got := c.ActiveArchs(); got != active {
+		t.Fatalf("%s: ActiveArchs = %d, scan says %d", step, got, active)
 	}
 	// Structural invariants of the index itself.
 	for _, p := range c.poolList {
@@ -278,8 +285,8 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 					t.Fatalf("op %d: NextTransitionEnd %v vs %v", i, got, want)
 				}
 				for _, a := range catalog {
-					if got, want := heapC.activeCount(a.Name), scanC.activeCountScan(a.Name); got != want {
-						t.Fatalf("op %d: activeCount(%s) %d vs %d", i, a.Name, got, want)
+					if got, want := heapC.ActiveCount(a.Name), scanC.activeCountScan(a.Name); got != want {
+						t.Fatalf("op %d: ActiveCount(%s) %d vs %d", i, a.Name, got, want)
 					}
 				}
 				if got, want := heapC.CurrentPower(), scanC.scanCurrentPower(); math.Abs(float64(got-want)) > 1e-9*(1+math.Abs(float64(want))) {

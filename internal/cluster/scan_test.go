@@ -21,7 +21,7 @@ import (
 	"repro/internal/power"
 )
 
-// activeCountScan is the original O(pool) implementation of activeCount.
+// activeCountScan is the original O(pool) implementation of ActiveCount.
 func (c *Cluster) activeCountScan(arch string) int {
 	n := 0
 	p := c.pools[arch]

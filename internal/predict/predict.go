@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -30,31 +32,50 @@ type Predictor interface {
 
 // LookaheadMax is the paper's predictor: the maximum of the next Window
 // seconds of the trace (perfect knowledge within the window, none beyond).
+//
+// It keeps only the trace and the window width. WindowMax and FirstExit
+// answer from the trace's samples directly, which is all the interval
+// integrator's default path (sched.DecideSpan) asks. Predict, the
+// per-second form, reads a sliding-max array that the first Predict call
+// materializes (trace.SlidingMax, one float64 per sample): its consumers —
+// the tick oracle, the live controller, the per-second decision scan of
+// app-aware or overhead-aware schedulers, and wrapping predictors — pay
+// for it, once per predictor. A LookaheadMax is safe for concurrent use,
+// so one can be shared across the cells of a sweep.
 type LookaheadMax struct {
+	tr     *trace.Trace
 	window int
 	name   string
-	maxes  []float64
+
+	once  sync.Once
+	maxes []float64 // trace.SlidingMax(window), built by the first Predict
+	built atomic.Int64
 }
 
-// NewLookaheadMax precomputes the sliding maxima of tr for the given window
-// width in seconds.
+// NewLookaheadMax returns the look-ahead predictor over tr for the given
+// window width in seconds. It precomputes nothing.
 func NewLookaheadMax(tr *trace.Trace, window int) (*LookaheadMax, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("predict: invalid window %d", window)
 	}
-	maxes, err := tr.SlidingMax(window)
-	if err != nil {
-		return nil, err
+	if tr == nil || tr.Len() == 0 {
+		return nil, fmt.Errorf("predict: look-ahead over an empty trace")
 	}
 	return &LookaheadMax{
+		tr:     tr,
 		window: window,
 		name:   fmt.Sprintf("lookahead-max(%ds)", window),
-		maxes:  maxes,
 	}, nil
 }
 
 // Predict implements Predictor. Out-of-range t clamps to the trace bounds.
 func (p *LookaheadMax) Predict(t int) float64 {
+	p.once.Do(func() {
+		// The width was validated at construction, the only error
+		// SlidingMax reports.
+		p.maxes, _ = p.tr.SlidingMax(p.window)
+		p.built.Store(int64(len(p.maxes)))
+	})
 	if t < 0 {
 		t = 0
 	}
@@ -62,6 +83,96 @@ func (p *LookaheadMax) Predict(t int) float64 {
 		t = len(p.maxes) - 1
 	}
 	return p.maxes[t]
+}
+
+// SamplesBuilt returns how many samples of the sliding-max array the
+// predictor has materialized: zero until the first Predict call, the trace
+// length after it.
+func (p *LookaheadMax) SamplesBuilt() int { return int(p.built.Load()) }
+
+// WindowMax returns Predict(t), computed from the window's samples in
+// O(Window) without materializing the sliding-max array.
+func (p *LookaheadMax) WindowMax(t int) float64 {
+	return p.tr.MaxInWindow(t, p.window)
+}
+
+// FirstExit returns the first second u in [from, limit) whose prediction,
+// scaled by h > 0, leaves the band [lo, hi): WindowMax(u)·h < lo or
+// WindowMax(u)·h >= hi. It returns limit when no second in the range
+// leaves the band. lo may be -Inf and hi +Inf.
+//
+// Floating-point multiplication by h > 0 is monotone, so the scaled
+// window maximum is the maximum of the scaled samples, and a window is in
+// the band exactly when it holds a sample with v·h >= lo and none with
+// v·h >= hi. One forward pass therefore decides every second: it checks
+// each sample as it enters the window and tracks the last sample with
+// v·h >= lo. Windows clamped at the trace end shrink toward the last
+// sample, which every later second predicts alone, as Predict clamps.
+// The pass costs O(Window + u - from).
+func (p *LookaheadMax) FirstExit(from, limit int, h, lo, hi float64) int {
+	if from >= limit {
+		return limit
+	}
+	n := p.tr.Len()
+	vals := p.tr.Window(0, n)
+	if from < 0 {
+		// Seconds before the trace predict as second 0 does.
+		e := p.FirstExit(0, max(limit, 1), h, lo, hi)
+		if e == 0 {
+			return from
+		}
+		return min(e, limit)
+	}
+	if from >= n {
+		// Seconds past the trace predict as its last second does.
+		if p.FirstExit(n-1, n, h, lo, hi) == n-1 {
+			return from
+		}
+		return limit
+	}
+	if p.WindowMax(from)*h >= hi {
+		return from
+	}
+	// The window of second u is [u, r] with r = min(u+window, n) - 1.
+	r := min(from+p.window, n) - 1
+	win := vals[from : r+1]
+	last := -1 // the last index <= r with vals·h >= lo
+	for j := len(win) - 1; j >= 0; j-- {
+		if win[j]*h >= lo {
+			last = from + j
+			break
+		}
+	}
+	if last < 0 {
+		return from
+	}
+	// Until the right edge reaches the trace end, second u = from+1+i
+	// adds sample r+1+i to its window.
+	added := vals[r+1 : r+1+min(n-1-r, limit-from-1)]
+	for i, v := range added {
+		u := from + 1 + i
+		x := v * h
+		if x >= hi {
+			return u
+		}
+		if x >= lo {
+			last = r + 1 + i
+		}
+		if last < u {
+			return u
+		}
+	}
+	if from+1+len(added) == limit {
+		return limit
+	}
+	// The right edge has reached the trace end, and last is at least the
+	// last second checked: later windows only lose samples, so the first
+	// exit is the first second past last, unless last is the final sample,
+	// which every later window keeps.
+	if last < n-1 && last+1 < limit {
+		return last + 1
+	}
+	return limit
 }
 
 // Window returns the look-ahead width in seconds.

@@ -1,7 +1,10 @@
 package predict
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -237,5 +240,139 @@ func TestErrorInjectorName(t *testing.T) {
 	p, _ := NewErrorInjector(NewOracle(tr), 0.2, 1)
 	if p.Name() != "oracle+err(20%)" {
 		t.Errorf("Name = %q", p.Name())
+	}
+}
+
+// firstExitOracle is FirstExit by definition: the first second in
+// [from, limit) whose WindowMax, scaled by h, leaves [lo, hi).
+func firstExitOracle(p *LookaheadMax, from, limit int, h, lo, hi float64) int {
+	for u := from; u < limit; u++ {
+		if x := p.WindowMax(u) * h; x < lo || x >= hi {
+			return u
+		}
+	}
+	return limit
+}
+
+// FirstExit agrees with the per-second oracle on random traces, windows
+// and bands: windows clamped at the trace end and windows longer than the
+// trace, starts before and past the trace, infinite band edges, band
+// edges drawn from the trace's own scaled samples (so that exits land
+// exactly on them), and headroom other than 1.
+func TestFirstExitMatchesPerSecondOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + rng.Intn(60)
+		vals := make([]float64, n)
+		for i := range vals {
+			// Few distinct levels, so that ties and plateaus are common.
+			vals[i] = float64(rng.Intn(8)) * 1.25
+			if rng.Intn(4) == 0 {
+				vals[i] += rng.Float64()
+			}
+		}
+		tr := mkTrace(t, vals)
+		window := 1 + rng.Intn(n+10) // sometimes longer than the trace
+		p, err := NewLookaheadMax(tr, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := 1.0
+		if rng.Intn(2) == 0 {
+			h = 1 + rng.Float64()
+		}
+		edge := func() float64 {
+			switch rng.Intn(5) {
+			case 0:
+				return math.Inf(-1)
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return vals[rng.Intn(n)] * h
+			default:
+				return rng.Float64() * 12
+			}
+		}
+		lo, hi := edge(), edge()
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		from := rng.Intn(n+8) - 4
+		limit := from + rng.Intn(n+8) - 2
+		got := p.FirstExit(from, limit, h, lo, hi)
+		if want := firstExitOracle(p, from, limit, h, lo, hi); got != want {
+			t.Fatalf("vals %v window %d h %v band [%v, %v) from %d limit %d: FirstExit = %d, want %d",
+				vals, window, h, lo, hi, from, limit, got, want)
+		}
+	}
+}
+
+// WindowMax is Predict without the sliding-max array, second for second,
+// and FirstExit and WindowMax leave the array unbuilt.
+func TestWindowMaxMatchesPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]float64, 500)
+	for i := range vals {
+		vals[i] = rng.Float64() * 100
+	}
+	tr := mkTrace(t, vals)
+	for _, window := range []int{1, 7, 378, 600} {
+		p, err := NewLookaheadMax(tr, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := -3; u < tr.Len()+3; u++ {
+			p.WindowMax(u)
+			p.FirstExit(u, u+50, 1.2, 30, 90)
+		}
+		if got := p.SamplesBuilt(); got != 0 {
+			t.Fatalf("window %d: %d samples built before any Predict call", window, got)
+		}
+		for u := -3; u < tr.Len()+3; u++ {
+			if got, want := p.WindowMax(u), p.Predict(u); got != want {
+				t.Fatalf("window %d: WindowMax(%d) = %v, Predict = %v", window, u, got, want)
+			}
+		}
+		if got := p.SamplesBuilt(); got != tr.Len() {
+			t.Fatalf("window %d: %d samples built after Predict, want %d", window, got, tr.Len())
+		}
+	}
+}
+
+// The first Predict calls on a shared predictor may come from several
+// goroutines at once, as the cells of a sweep share one; the array is
+// built once and every caller reads it whole (run under -race).
+func TestLookaheadMaxConcurrentFirstPredict(t *testing.T) {
+	vals := make([]float64, 2000)
+	for i := range vals {
+		vals[i] = float64((i * 7919) % 313)
+	}
+	tr := mkTrace(t, vals)
+	p, err := NewLookaheadMax(tr, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for u := g; u < tr.Len(); u += 97 {
+				if got, want := p.Predict(u), tr.MaxInWindow(u, 50); got != want {
+					errs <- fmt.Errorf("Predict(%d) = %v, want %v", u, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := p.SamplesBuilt(); got != tr.Len() {
+		t.Errorf("%d samples built, want %d", got, tr.Len())
 	}
 }

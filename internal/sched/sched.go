@@ -11,10 +11,13 @@
 // energies are charged through the machine automata of the cluster.
 //
 // Two entry points serve the two simulation engines: Step (one 1 Hz tick,
-// the oracle) and DecideSpan (span.go), which discovers how far the
-// current decision outcome extends by scanning predictions forward,
-// letting the interval-integrator engine fold whole quiescent spans in one
-// step.
+// the oracle) and DecideSpan (span.go), which finds how far the current
+// decision outcome extends, letting the interval-integrator engine fold
+// whole quiescent spans in one step. On the default path — no application,
+// not overhead-aware, the look-ahead predictor and a dense table — it
+// answers with first-exit queries over the raw samples
+// (predict.LookaheadMax.FirstExit against bml.Table.Band); otherwise it
+// scans predictions one second at a time.
 package sched
 
 import (
@@ -121,6 +124,12 @@ type Scheduler struct {
 	// migrationEnergy accumulates the application-level migration energy
 	// charged so far (also folded into step energies).
 	migrationEnergy power.Joules
+
+	// window and dense are set on DecideSpan's first-exit path (span.go):
+	// no application, not overhead-aware, the look-ahead predictor and a
+	// dense table. window is pred, dense is table.
+	window *predict.LookaheadMax
+	dense  *bml.Table
 }
 
 // New validates the configuration and builds a scheduler.
@@ -164,7 +173,7 @@ func New(cfg Config) (*Scheduler, error) {
 	case logCap < 0:
 		logCap = 0
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		table:           cfg.Table,
 		pred:            cfg.Predictor,
 		cl:              cfg.Cluster,
@@ -173,7 +182,15 @@ func New(cfg Config) (*Scheduler, error) {
 		overheadAware:   cfg.OverheadAware,
 		amortizeSeconds: amortize,
 		logCap:          logCap,
-	}, nil
+	}
+	if cfg.App == nil && !cfg.OverheadAware {
+		window, _ := cfg.Predictor.(*predict.LookaheadMax)
+		dense, _ := cfg.Table.(*bml.Table)
+		if window != nil && dense != nil {
+			s.window, s.dense = window, dense
+		}
+	}
+	return s, nil
 }
 
 // StepReport describes one simulated second.
@@ -206,7 +223,7 @@ func (s *Scheduler) Step(t int, demand, dt float64) (StepReport, error) {
 	}
 	// Drain any migration lock left by the previous retire phase.
 	s.drainMigrationLock(dt)
-	if err := s.decide(t, &rep); err != nil {
+	if err := s.decide(t, &rep, false); err != nil {
 		return rep, err
 	}
 	served, e, err := s.dispatch(demand, dt)
@@ -241,8 +258,11 @@ func (s *Scheduler) drainMigrationLock(dt float64) {
 	}
 }
 
-// decide runs the per-second decision logic at second t.
-func (s *Scheduler) decide(t int, rep *StepReport) error {
+// decide runs the per-second decision logic at second t. inSpan marks a
+// call from DecideSpan: it tests a non-acting outcome without building
+// count maps and, on the first-exit path, takes the prediction from
+// WindowMax rather than materializing the per-second array.
+func (s *Scheduler) decide(t int, rep *StepReport, inSpan bool) error {
 	rep.Reconfiguring = s.reconfiguring()
 	if !s.cl.Reconfiguring() && s.pending != nil {
 		// Boot phase finished: migrate load off the retired machines and
@@ -256,9 +276,22 @@ func (s *Scheduler) decide(t int, rep *StepReport) error {
 	if rep.Reconfiguring || s.pending != nil {
 		return nil
 	}
-	p := s.pred.Predict(t) * s.headroom
+	var p float64
+	if inSpan && s.window != nil {
+		p = s.window.WindowMax(t) * s.headroom
+	} else {
+		p = s.pred.Predict(t) * s.headroom
+	}
 	rep.Predicted = p
 	target := s.table.At(p)
+	if inSpan && s.app == nil && s.fleetMatches(target) {
+		// No change: the prediction window just slides. Without an
+		// application no malleability adjustment applies, so the test
+		// needs neither count map. The tick oracle (Step) keeps the map
+		// comparison below, the reference the engine differential suites
+		// hold this one to.
+		return nil
+	}
 	counts, adjusted := s.adjustForMalleability(target, p)
 	current := s.cl.Counts()
 	switch {

@@ -10,11 +10,17 @@ import (
 
 // This file is the interval integrator's scheduler interface. DecideSpan
 // discovers how many seconds a decision outcome repeats for: it executes
-// the decision at the span start, then scans forward one second at a time
-// classifying each second's would-be outcome — no-op, overhead-aware skip,
-// or action — stopping at the first second that would act. The scan
-// touches no fleet state, so an engine can integrate the whole quiescent
-// span in one demand fold instead of one step per second.
+// the decision at the span start, then finds the first later second whose
+// would-be outcome acts. The search touches no fleet state, so an engine
+// can integrate the whole quiescent span in one demand fold instead of
+// one step per second.
+//
+// On the default path (no application, not overhead-aware, the
+// look-ahead predictor and a dense table) an outcome is no-op exactly
+// while the prediction stays in a band of the table, so the search is a
+// first-exit query over the raw samples (firstActing). Other
+// configurations scan predictions one second at a time, classifying each
+// second as no-op, overhead-aware skip or action.
 
 // DecideSpan runs the decision logic at second t, then returns the first
 // second in (t, limit] at which the engine must call DecideSpan again:
@@ -34,7 +40,7 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	if limit <= t {
 		limit = t + 1
 	}
-	if err := s.decide(t, &rep); err != nil {
+	if err := s.decide(t, &rep, true); err != nil {
 		return rep, 0, err
 	}
 	if s.reconfiguring() || s.pending != nil {
@@ -47,9 +53,15 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 		// transitions): stay conservative and re-decide next second.
 		return rep, t + 1, nil
 	}
+	if s.window != nil {
+		return rep, s.firstActing(t+1, limit, rep.Predicted), nil
+	}
 	// Quiescent scan. Fleet counts cannot change without a decision acting,
 	// so the current counts are computed once for the whole span.
-	cur := s.cl.Counts()
+	var cur map[string]int
+	if s.app != nil {
+		cur = s.cl.Counts()
+	}
 	// The outcome of a scanned second is a pure function of its prediction
 	// (the fleet is frozen during the scan), so a second whose prediction
 	// equals the previous one repeats the previous classification — only
@@ -71,10 +83,9 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 		prevP, prevSkip, prevAdjusted = p, false, false
 		target := s.table.At(p)
 		if s.app == nil {
-			// Fast path: no malleability adjustment is possible, so the
-			// no-op test is a positional slot-vs-counts compare with no
-			// allocation — this is the integrator's per-second inner loop.
-			if countsMatchSlots(target, cur) {
+			// No malleability adjustment is possible, so the no-op test
+			// is a positional slot-vs-fleet compare with no allocation.
+			if s.fleetMatches(target) {
 				continue
 			}
 			if s.overheadAware && !s.reconfigurationWorthIt(target.Counts(), p) {
@@ -106,26 +117,48 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	return rep, limit, nil
 }
 
-// countsMatchSlots reports whether the combination's node counts equal the
-// current active counts — sameCounts(target.Counts(), cur) without
-// materializing the target map. cur holds only strictly positive counts
-// (the cluster.Counts contract), so matching every positive slot and then
-// requiring the positive-slot count to cover cur is exactly the map
-// equality test.
-func countsMatchSlots(target bml.Combination, cur map[string]int) bool {
+// firstActing returns the first second in [from, limit) whose decision
+// would act on the default path, or limit; p is the (headroom-scaled)
+// prediction of the quiescent decision just taken at from-1. On that path
+// a second acts exactly when At of its prediction differs in node counts
+// from the fleet, and no counter moves on the seconds that do not act.
+// While the prediction stays in the band of the table around p, the
+// counts are those of At(p), which the quiescent decision found equal to
+// the fleet's; FirstExit finds the first second that leaves the band.
+// There the counts may still match — the same counts recurring in
+// another band — and the query continues from the next second with the
+// new prediction's band. The second returned is the one the per-second
+// scan would return.
+func (s *Scheduler) firstActing(from, limit int, p float64) int {
+	for u := from; u < limit; u++ {
+		lo, hi := s.dense.Band(p)
+		if u = s.window.FirstExit(u, limit, s.headroom, lo, hi); u >= limit {
+			break
+		}
+		p = s.window.WindowMax(u) * s.headroom
+		if !s.fleetMatches(s.dense.At(p)) {
+			return u
+		}
+	}
+	return limit
+}
+
+// fleetMatches reports whether the combination's node counts equal the
+// fleet's active counts — sameCounts(target.Counts(), s.cl.Counts())
+// without building either map: every slot must match, and the fleet may
+// hold no active architecture beyond the combination's positive slots.
+func (s *Scheduler) fleetMatches(target bml.Combination) bool {
 	nonzero := 0
 	for _, sl := range target.Slots {
 		want := sl.Nodes()
-		if want > 0 {
-			nonzero++
-			if cur[sl.Arch.Name] != want {
-				return false
-			}
-		} else if cur[sl.Arch.Name] != 0 {
+		if s.cl.ActiveCount(sl.Arch.Name) != want {
 			return false
 		}
+		if want > 0 {
+			nonzero++
+		}
 	}
-	return nonzero == len(cur)
+	return nonzero == s.cl.ActiveArchs()
 }
 
 // StartDemandFold begins a demand fold over the cluster's current

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/bml"
+	"repro/internal/predict"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -62,15 +64,16 @@ func TestBoundScenarioAllocationsIndependentOfTraceLength(t *testing.T) {
 	}
 }
 
-// RunBML on a raw trace allocates about one float64 per sample: the
-// look-ahead predictor's sliding-max array. The predictor build must not
-// allocate a second per-sample buffer, and neither the span scan nor the
-// demand fold may allocate per sample. The load is a steady noisy level:
+// RunBML on a raw trace allocates no per-sample buffer: the look-ahead
+// predictor is answered from the trace's own samples (first-exit queries,
+// no sliding-max array), and neither the span scan nor the demand fold
+// allocates per sample. The limit, one byte per sample, fails if any
+// float64-per-sample buffer comes back. The load is a steady noisy level:
 // every sample differs (one run per second, the fold's worst case), but
 // the fleet never needs reconfiguring, so the per-decision allocations of
 // the scheduler, which scale with reconfigurations rather than samples,
 // stay out of the per-sample budget.
-func TestRunBMLAllocatesOneFloatPerSample(t *testing.T) {
+func TestRunBMLAllocatesNoPerSampleBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]float64, 3*trace.SecondsPerDay)
 	for i := range vals {
@@ -90,7 +93,7 @@ func TestRunBMLAllocatesOneFloatPerSample(t *testing.T) {
 	}
 	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
 	t.Logf("%.2f bytes/sample over %d samples (%d decisions)", perSample, tr.Len(), res.Decisions)
-	if limit := 1.25 * 8; perSample > limit {
+	if limit := 1.0; perSample > limit {
 		t.Errorf("RunBML allocates %.2f bytes per sample, want <= %.2f", perSample, limit)
 	}
 }
@@ -122,5 +125,51 @@ func TestDemandFoldSlowSamplesRaw(t *testing.T) {
 	t.Logf("%d of %d samples folded one at a time (%.1f%%)", slow, tr.Len(), 100*share)
 	if share > 0.15 {
 		t.Errorf("%.1f%% of samples folded one at a time, want <= 15%%", 100*share)
+	}
+}
+
+// A default integrator run on a raw World Cup trace answers every span
+// scan with first-exit queries and never materializes the look-ahead
+// predictor's sliding-max array; the tick oracle, which predicts second
+// by second, builds it once.
+func TestRunBMLBuildsNoLookaheadArrayRaw(t *testing.T) {
+	cfg := trace.DefaultWorldCupConfig()
+	cfg.Days = 3
+	tr, err := trace.GenerateWorldCup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := bml.NewPlanner(profile.PaperMachines())
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := sched.Window(planner.Candidates(), sched.DefaultWindowFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := predict.NewLookaheadMax(tr, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunBML(tr, planner, BMLConfig{Predictor: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pred.SamplesBuilt(); got != 0 {
+		t.Fatalf("the integrator built %d samples of the look-ahead array", got)
+	}
+	def, err := RunBML(tr, planner, BMLConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalEnergy != def.TotalEnergy || res.Decisions != def.Decisions || res.Decisions == 0 {
+		t.Fatalf("run on the shared predictor: %v J, %d decisions; default run: %v J, %d decisions",
+			res.TotalEnergy, res.Decisions, def.TotalEnergy, def.Decisions)
+	}
+	if _, err := RunBML(tr, planner, BMLConfig{Predictor: pred}, WithTickEngine()); err != nil {
+		t.Fatal(err)
+	}
+	if got := pred.SamplesBuilt(); got != tr.Len() {
+		t.Fatalf("the tick oracle built %d samples of the look-ahead array, want %d", got, tr.Len())
 	}
 }

@@ -206,12 +206,14 @@ func (l *homLeg) commitDay(arch *profile.Arch, d int, shared qos.Fold, seconds f
 
 // foldLowerBound folds a chunk of runs into the LowerBound leg's energy,
 // whose power the chunk already holds. A load the solver cannot cover (an
-// infinite optimum) is an error.
-func foldLowerBound(c *runChunk, e *energySums) error {
+// infinite optimum) is an error; valid says the solver's table was found
+// to cover every load when it was built (bml.ExactSolver.AlwaysValid), so
+// that no power needs checking.
+func foldLowerBound(c *runChunk, e *energySums, valid bool) error {
 	s := *e
 	dts := c.dt[:c.n]
 	for r, p := range c.power[:c.n] {
-		if !p.IsValid() {
+		if !valid && !p.IsValid() {
 			return power.ErrNegativePower
 		}
 		en := float64(p) * dts[r]
@@ -248,6 +250,7 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 		lower     energySums
 		c         runChunk
 	)
+	lowerValid := k.solver != nil && k.solver.AlwaysValid()
 	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
 		clamps := false
 		for h := range k.hom {
@@ -280,7 +283,7 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 			}
 			if k.lower != nil {
 				k.solver.PowersAt(c.demand[:c.n], c.power[:])
-				if err := foldLowerBound(&c, &lower); err != nil {
+				if err := foldLowerBound(&c, &lower, lowerValid); err != nil {
 					return err
 				}
 			}

@@ -19,7 +19,7 @@ import (
 // pool's band of cumulative capacity (cluster.DemandFold). The engine only
 // iterates on
 //
-//   - decisions that act (discovered by sched.DecideSpan's forward scan),
+//   - decisions that act (found by sched.DecideSpan's first-exit query),
 //   - transition completions and migration-lock expiries (NextWake),
 //   - day boundaries, telemetry bucket boundaries (RunBMLRecorded only)
 //     and the trace end.
@@ -30,9 +30,10 @@ import (
 // compensated sum unless a band edge falls inside the block. The result
 // differs from the tick oracle only by rounding — the differential suites
 // hold the two to ≤1e-6 J and exact counters, on raw traces too. The
-// engine's cost is O(scheduler events) iterations plus one allocation-free
-// pass over the samples (and sched's per-second decision scan), which is
-// what makes raw traces as cheap per simulated second as quantized ones.
+// engine's cost is O(scheduler events) iterations plus two
+// allocation-free passes over the samples — the fold and sched's
+// first-exit query — which is what makes raw traces as cheap per
+// simulated second as quantized ones.
 
 // runBMLIntegrator is the interval-integrator BML engine loop. A positive
 // bucketSeconds also ends spans at multiples of it, so that each span lies

@@ -69,12 +69,13 @@ type SweepJob struct {
 
 // sweepCache shares per-trace work across the cells of one sweep or
 // shard. Fleet-scaled trace copies are O(trace) each and identical for
-// every scenario at the same scale; the BML predictor's trace.SlidingMax
-// precomputation is likewise O(trace) and identical for every cell over
-// the same (scaled) trace and window — ROADMAP flags it as the dominant
-// fixed cost of large-fleet runs, which the fleet benchmarks amortize by
-// hand. Computation happens under the lock so concurrent cells wait for
-// one precomputation instead of racing to repeat it.
+// every scenario at the same scale; the BML predictor is identical for
+// every cell over the same (scaled) trace, window and spec, and the
+// per-second predictors precompute O(trace) arrays — the look-ahead
+// predictor's sliding-max array is built on its first Predict call, by
+// whichever cell needs it, once for all. Construction happens under the
+// lock so concurrent cells wait for one build instead of racing to repeat
+// it.
 type sweepCache struct {
 	mu     sync.Mutex
 	scaled map[scaleKey]*trace.Trace
@@ -123,8 +124,10 @@ func (c *sweepCache) scaledTrace(tr *trace.Trace, f float64) (*trace.Trace, erro
 // — the paper's look-ahead-max by default, or whatever PredictorSpec names
 // — sharing each predictor's O(trace) precomputation across every cell of
 // the sweep that replays the same trace under the same spec. Predictors
-// are immutable after construction, so sharing one across concurrent runs
-// is race-free. The builder is exactly what buildBMLRig would run, so
+// are safe for concurrent use — immutable after construction, except that
+// the look-ahead predictor builds its sliding-max array once, behind a
+// sync.Once, on the first Predict call — so sharing one across concurrent
+// runs is race-free. The builder is exactly what buildBMLRig would run, so
 // cached and uncached runs are identical.
 func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predict.Predictor, error) {
 	build := func() (predict.Predictor, error) {

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/bml"
+	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -60,6 +62,51 @@ func shortTrace(t *testing.T, vals []float64) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// A candidate whose power is near the largest float64 overflows the
+// exact table: two full nodes cost +Inf. The solver reports at build that
+// it does not cover every rate, and the LowerBound fold then checks each
+// power it looks up: a trace that stays on one node's worth of load runs,
+// and a trace that reaches the overflow fails with power.ErrNegativePower.
+func TestRunLowerBoundRejectsUncoverableRate(t *testing.T) {
+	huge := []profile.Arch{{Name: "huge", MaxPerf: 10, IdlePower: 1, MaxPower: 1e308}}
+	solver, err := bml.NewExactSolver(huge, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solver.AlwaysValid() {
+		t.Fatal("a table with an infinite entry reports every power valid")
+	}
+	if p := solver.PowerAt(20); p.IsValid() {
+		t.Fatalf("PowerAt(20) = %v, want an invalid power", p)
+	}
+	if ok, err := bml.NewExactSolver(fastArchs(), 500, 1); err != nil || !ok.AlwaysValid() {
+		t.Fatalf("the fast catalog's table reports an invalid power (err %v)", err)
+	}
+
+	fits := shortTrace(t, []float64{3, 7.5, 10, 4})
+	if _, err := RunLowerBound(fits, huge); err != nil {
+		t.Fatalf("loads within one node: %v", err)
+	}
+	for _, vals := range [][]float64{{5, 20, 5}, {5, 19.5, 20}} {
+		_, err := RunLowerBound(shortTrace(t, vals), huge)
+		if !errors.Is(err, power.ErrNegativePower) {
+			t.Errorf("loads %v: err = %v, want power.ErrNegativePower", vals, err)
+		}
+		if _, err := RunBounds(shortTrace(t, vals), mustPlanner(t, huge)); !errors.Is(err, power.ErrNegativePower) {
+			t.Errorf("RunBounds on loads %v: err = %v, want power.ErrNegativePower", vals, err)
+		}
+	}
+}
+
+func mustPlanner(t *testing.T, archs []profile.Arch) *bml.Planner {
+	t.Helper()
+	p, err := bml.NewPlanner(archs, bml.WithPreFilteredCandidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestRunLowerBoundConstantLoad(t *testing.T) {

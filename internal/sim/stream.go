@@ -219,9 +219,9 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 // a file needs no locking of its own. Nothing is retained after emit
 // returns: the stream's working set is the cells currently in flight,
 // which is what lets one process chew through fleet-scaled grids far
-// larger than memory. Per-trace predictor precomputation and fleet-scaled
-// trace copies are shared across the stream's cells (one trace.SlidingMax
-// per distinct trace × window, not per cell). An emit error cancels the
+// larger than memory. Predictors and fleet-scaled trace copies are shared
+// across the stream's cells (one predictor per distinct trace × window ×
+// spec, not per cell). An emit error cancels the
 // remaining cells and is returned — except ErrStopStream, which drains
 // in-flight cells through emit first (graceful stop). Individual cell
 // failures are delivered in their SweepResult like Sweep does.

@@ -178,7 +178,8 @@ func (t *Trace) MaxInWindow(from, width int) float64 {
 // when clamped at the trace end — spans at most two blocks, so its max is
 // the suffix max of the first and the prefix max of the second. Two tight
 // comparison passes beat the classic monotone deque by a large constant,
-// and this runs over the full trace on every simulation's predictor build.
+// and this runs over the full trace once per look-ahead predictor that is
+// asked for per-second predictions.
 func (t *Trace) SlidingMax(width int) ([]float64, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("trace: invalid window width %d", width)
