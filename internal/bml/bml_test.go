@@ -546,6 +546,30 @@ func TestPlannerTable(t *testing.T) {
 	}
 }
 
+// Table entries share one slot array, yet each is exactly the planner's
+// combination for its rate, and appending to one entry's slots leaves its
+// neighbour untouched.
+func TestPlannerTableEntriesShareNoSlots(t *testing.T) {
+	p := newPaperPlanner(t)
+	tab := p.Table(200)
+	for k := 0; k < tab.Len(); k++ {
+		got, want := tab.combos[k], p.Combination(float64(k))
+		if len(got.Slots) != len(want.Slots) || cap(got.Slots) != len(got.Slots) {
+			t.Fatalf("entry %d: %d slots (cap %d), want %d", k, len(got.Slots), cap(got.Slots), len(want.Slots))
+		}
+		for i := range want.Slots {
+			if got.Slots[i] != want.Slots[i] {
+				t.Fatalf("entry %d slot %d: %+v, want %+v", k, i, got.Slots[i], want.Slots[i])
+			}
+		}
+	}
+	next := tab.combos[11].Slots[0]
+	grown := append(tab.combos[10].Slots, Slot{Full: 99})
+	if tab.combos[11].Slots[0] != next || &grown[0] == &tab.combos[10].Slots[0] {
+		t.Fatal("appending to an entry's slots wrote into its neighbour's")
+	}
+}
+
 func TestPlannerBMLLinear(t *testing.T) {
 	p := newPaperPlanner(t)
 	lin := p.BMLLinear()

@@ -132,7 +132,12 @@ func (c Combination) TotalNodes() int {
 
 // Counts returns node counts keyed by architecture name.
 func (c Combination) Counts() map[string]int {
-	m := make(map[string]int, len(c.Slots))
+	return c.CountsInto(make(map[string]int, len(c.Slots)))
+}
+
+// CountsInto clears m, fills it with Counts' entries and returns it.
+func (c Combination) CountsInto(m map[string]int) map[string]int {
+	clear(m)
 	for _, s := range c.Slots {
 		if n := s.Nodes(); n > 0 {
 			m[s.Arch.Name] = n

@@ -179,7 +179,17 @@ func (p *Planner) available(c *Combination, i int) int {
 // the remainder, recursively. Rates are rounded up to the grid. A zero or
 // negative rate yields the empty combination (everything switched off).
 func (p *Planner) Combination(rate float64) Combination {
-	c := newCombination(p.candidates)
+	return p.combinationIn(rate, make([]Slot, len(p.candidates)))
+}
+
+// combinationIn is Combination with its slots in slots, one per candidate:
+// a full-capacity slice, so that the placement, which finds every
+// candidate's slot in place, never grows it.
+func (p *Planner) combinationIn(rate float64, slots []Slot) Combination {
+	for i, a := range p.candidates {
+		slots[i] = Slot{Arch: a}
+	}
+	c := Combination{Slots: slots}
 	if rate <= 0 || math.IsNaN(rate) {
 		return c
 	}
@@ -304,8 +314,13 @@ func (p *Planner) Table(maxRate float64) *Table {
 		band:   make([]int32, n+1),
 		bands:  []rateBand{{lo: math.Inf(-1), hi: math.Inf(1)}},
 	}
+	// Every entry's slots share one backing array. Each entry gets a
+	// full-capacity sub-slice, so an append to one entry's slots copies
+	// instead of clobbering its neighbour's.
+	m := len(p.candidates)
+	slots := make([]Slot, (n+1)*m)
 	for k := 0; k <= n; k++ {
-		t.combos[k] = p.Combination(float64(k) * p.step)
+		t.combos[k] = p.combinationIn(float64(k)*p.step, slots[k*m:(k+1)*m:(k+1)*m])
 		if k == 0 {
 			continue
 		}

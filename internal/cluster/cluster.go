@@ -218,13 +218,19 @@ func (c *Cluster) ActiveArchs() int {
 
 // Counts returns the per-architecture active machine counts (On+Booting).
 func (c *Cluster) Counts() map[string]int {
-	out := make(map[string]int, len(c.archs))
+	return c.CountsInto(make(map[string]int, len(c.archs)))
+}
+
+// CountsInto clears m, fills it with Counts' entries and returns it, so
+// that a caller comparing counts every second can reuse one map.
+func (c *Cluster) CountsInto(m map[string]int) map[string]int {
+	clear(m)
 	for _, a := range c.archs {
 		if n := c.ActiveCount(a.Name); n > 0 {
-			out[a.Name] = n
+			m[a.Name] = n
 		}
 	}
-	return out
+	return m
 }
 
 // OnCounts returns only fully powered-on machines per architecture.

@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"math"
-
 	"repro/internal/power"
 	"repro/internal/qos"
+	"repro/internal/trace"
 )
 
 // DemandFold integrates the On fleet's energy over a span of demand samples
@@ -19,17 +18,21 @@ import (
 //
 //	Σ_k n_k·IdlePower·T + slope_k·Σ_t clamp(d_t − lo_k, 0, cap_k)
 //
-// and Fold only has to accumulate the per-pool clamp sums. It classifies
-// the window in blocks of foldBlock samples: a block whose [min, max] range
-// contains no band edge strictly inside costs one pass for its min, max and
-// compensated sum, after which every pool's share is 0, cap·len or
-// sum − lo·len; only blocks that straddle an edge are folded one sample at
-// a time. Commit then materializes the end-of-span state once (dispatch is
-// memoryless: the final loads depend only on the last sample), charges the
-// pools' idle and dynamic energies, and ticks only the transitioning
-// machines, whose automata charge exact transition energies over the whole
-// span. The result differs from per-sample Distribute+Tick only by
-// rounding; the differential suites hold it to ≤1e-6 J of the tick oracle.
+// and Fold only has to accumulate the per-pool clamp sums. It reads them
+// from the trace's block summary (trace.Blocks: each absolute-aligned
+// 64-sample block's min, max and sum, built once per trace): a whole block
+// whose [min, max] range contains no band edge strictly inside adds 0,
+// cap·len or sum − lo·len to every pool without touching its samples.
+// Only the span's partial edge blocks are read (and summarized on the
+// spot), and only blocks that straddle an edge are folded one sample at a
+// time; FoldSamplesRead counts the samples read, SlowFoldSamples those
+// folded one at a time. Commit then materializes the end-of-span state
+// once (dispatch is memoryless: the final loads depend only on the last
+// sample), charges the pools' idle and dynamic energies, and ticks only
+// the transitioning machines, whose automata charge exact transition
+// energies over the whole span. The result differs from per-sample
+// Distribute+Tick only by rounding; the differential suites hold it to
+// ≤1e-6 J of the tick oracle.
 //
 // The contract mirrors the engine's event bounds: no transition may
 // complete strictly before the span's final second (the caller bounds spans
@@ -48,9 +51,10 @@ type DemandFold struct {
 	// capacity is the On fleet's total capacity, the top band edge.
 	capacity float64
 	energy   power.Accumulator
-	// slow counts the samples folded one at a time, over every span the
-	// fold has served: a deterministic cost counter (see SlowFoldSamples).
-	slow int
+	// read counts the samples read one at a time, and slow the samples
+	// folded one at a time, over every span the fold has served:
+	// deterministic cost counters (see FoldSamplesRead, SlowFoldSamples).
+	read, slow int
 }
 
 // foldPool is one pool's span-constant band and slope, cached by StartFold,
@@ -64,11 +68,6 @@ type foldPool struct {
 	// served is Σ_t clamp(d_t − lo, 0, cap) over the span.
 	served power.Accumulator
 }
-
-// foldBlock is how many samples Fold classifies at once: long enough that
-// the per-block work over the pools is small beside the samples' one pass,
-// short enough that most blocks of a smooth trace stay inside one band.
-const foldBlock = 64
 
 // StartFold begins a demand fold over the cluster's current configuration.
 // The returned fold is owned by the cluster and recycled on the next call.
@@ -100,10 +99,22 @@ func (c *Cluster) StartFold() *DemandFold {
 	return f
 }
 
+// FoldSamplesRead returns how many samples the cluster's demand folds have
+// read one at a time, over every span since the cluster was built: the
+// samples of partial blocks at span edges and of whole blocks that
+// straddle a band edge. Every other sample is folded in closed form from
+// its block's summary.
+func (c *Cluster) FoldSamplesRead() int {
+	if c.fold == nil {
+		return 0
+	}
+	return c.fold.read
+}
+
 // SlowFoldSamples returns how many samples the cluster's demand folds have
-// folded one at a time, because their block straddled a band edge, over
-// every span since the cluster was built. Every other sample is folded in
-// closed form with the rest of its block.
+// folded one at a time, because their block (or a span's partial edge
+// block) straddled a band edge, over every span since the cluster was
+// built.
 func (c *Cluster) SlowFoldSamples() int {
 	if c.fold == nil {
 		return 0
@@ -111,76 +122,91 @@ func (c *Cluster) SlowFoldSamples() int {
 	return c.fold.slow
 }
 
-// Fold folds a window of per-second demand samples into the pools' clamp
-// sums. It returns the window's compensated demand and served integrals
-// (served is Σ min(d, capacity)) and its QoS violation seconds, the seconds
-// whose demand exceeds the capacity by more than qos.Slack. Machines are
-// not touched.
+// Fold folds the demand samples [from, to) of the trace that b summarizes
+// into the pools' clamp sums. It returns the span's compensated demand and
+// served integrals (served is Σ min(d, capacity)) and its QoS violation
+// seconds, the seconds whose demand exceeds the capacity by more than
+// qos.Slack. Machines are not touched.
 //
-// The samples must be finite and non-negative, as every trace.Trace's are.
-func (f *DemandFold) Fold(w []float64) (demand, served, violation float64) {
-	var demandInt, servedInt power.Accumulator
-	capacity := f.capacity
-	for len(w) > 0 {
-		b := w[:min(len(w), foldBlock)]
-		w = w[len(b):]
-		// A constant prefix (on a quantized trace, most blocks are one
-		// plateau) costs one compare per sample. After it, the samples are
-		// non-negative, so their bit patterns as int64 order like their
-		// values (a -0 sorts lowest, as 0 should), and integer min/max
-		// compile without branches.
-		v, j := b[0], 1
-		for j < len(b) && b[j] == v {
-			j++
-		}
-		loBits, hiBits := int64(math.Float64bits(v)), int64(math.Float64bits(v))
-		sum, comp := v*float64(j), 0.0
-		for _, d := range b[j:] {
-			bits := int64(math.Float64bits(d))
-			loBits = min(loBits, bits)
-			hiBits = max(hiBits, bits)
-			sum, comp = power.NeumaierAdd(sum, comp, d)
-		}
-		lo, hi := math.Float64frombits(uint64(loBits)), math.Float64frombits(uint64(hiBits))
-		sum += comp
-		demandInt.Add(sum)
-		if !f.uniform(lo, hi) {
-			f.slow += len(b)
-			for _, d := range b {
-				for _, k := range f.active {
-					fp := &f.pools[k]
-					fp.served.Add(min(max(d-fp.lo, 0), fp.cap))
-				}
-				servedInt.Add(min(d, capacity))
-				if d-capacity > qos.Slack {
-					violation++
-				}
-			}
-			continue
-		}
-		// No band edge lies strictly inside (lo, hi), so every sample of
-		// the block sits in the same band of every pool.
-		n := float64(len(b))
-		for _, k := range f.active {
-			fp := &f.pools[k]
-			switch {
-			case hi <= fp.lo:
-			case lo >= fp.hi:
-				fp.served.Add(fp.cap * n)
-			default:
-				fp.served.Add(sum - fp.lo*n)
-			}
-		}
-		if hi <= capacity {
-			servedInt.Add(sum)
+// Whole blocks of the summary inside the span fold from their min, max
+// and sum; the span's partial edge blocks are summarized from their
+// samples first. A block that straddles a band edge is folded one sample
+// at a time.
+func (f *DemandFold) Fold(b *trace.Blocks, from, to int) (demand, served, violation float64) {
+	var acc foldSums
+	vals := b.Trace().Window(0, b.Trace().Len())
+	for from < to {
+		k := from / trace.BlockSize
+		end := min((k+1)*trace.BlockSize, len(vals))
+		w := vals[from:min(end, to)]
+		whole := from == k*trace.BlockSize && end <= to
+		var lo, hi, sum float64
+		if whole {
+			lo, hi, sum = b.Block(k)
 		} else {
-			servedInt.Add(capacity * n)
+			lo, hi, sum = trace.Summarize(w)
+			f.read += len(w)
 		}
-		if hi-capacity > qos.Slack {
-			violation += n
+		if f.uniform(lo, hi) {
+			f.foldUniform(&acc, len(w), lo, hi, sum)
+		} else {
+			if whole {
+				f.read += len(w)
+			}
+			f.foldSamples(&acc, w, sum)
+		}
+		from += len(w)
+	}
+	return acc.demand.Sum(), acc.served.Sum(), acc.violation
+}
+
+// foldSums are a span's demand and served integrals and violation seconds.
+type foldSums struct {
+	demand, served power.Accumulator
+	violation      float64
+}
+
+// foldUniform folds n samples with range [lo, hi] and sum sum, no band
+// edge lying strictly inside (lo, hi): every sample sits in the same band
+// of every pool.
+func (f *DemandFold) foldUniform(acc *foldSums, n int, lo, hi, sum float64) {
+	fn := float64(n)
+	acc.demand.Add(sum)
+	for _, k := range f.active {
+		fp := &f.pools[k]
+		switch {
+		case hi <= fp.lo:
+		case lo >= fp.hi:
+			fp.served.Add(fp.cap * fn)
+		default:
+			fp.served.Add(sum - fp.lo*fn)
 		}
 	}
-	return demandInt.Sum(), servedInt.Sum(), violation
+	if hi <= f.capacity {
+		acc.served.Add(sum)
+	} else {
+		acc.served.Add(f.capacity * fn)
+	}
+	if hi-f.capacity > qos.Slack {
+		acc.violation += fn
+	}
+}
+
+// foldSamples folds the samples w, whose sum is sum, one at a time.
+func (f *DemandFold) foldSamples(acc *foldSums, w []float64, sum float64) {
+	f.slow += len(w)
+	capacity := f.capacity
+	acc.demand.Add(sum)
+	for _, d := range w {
+		for _, k := range f.active {
+			fp := &f.pools[k]
+			fp.served.Add(min(max(d-fp.lo, 0), fp.cap))
+		}
+		acc.served.Add(min(d, capacity))
+		if d-capacity > qos.Slack {
+			acc.violation++
+		}
+	}
 }
 
 // uniform reports whether a block with sample range [lo, hi] can be folded

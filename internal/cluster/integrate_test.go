@@ -7,7 +7,10 @@ package cluster
 // seconds. The windows are built to hit the fold's block classification
 // from every side: blocks that straddle a band edge, demand above the On
 // capacity or within qos.Slack of it, zeros, a single pool, windows shorter
-// than a block, and quantized plateaus sitting exactly on band edges.
+// than a block, and quantized plateaus sitting exactly on band edges. Each
+// window sits at a random offset inside a longer trace, so that its span
+// [from, to) starts and ends off the summary's block grid, often inside a
+// single block.
 
 import (
 	"fmt"
@@ -17,6 +20,7 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/qos"
+	"repro/internal/trace"
 )
 
 // foldRelTol is the relative agreement the fold owes per-sample
@@ -134,13 +138,18 @@ func TestFoldMatchesPerSampleDispatch(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		kind := kinds[rng.Intn(len(kinds))]
 		single := rng.Intn(5) == 0
-		n := 1 + rng.Intn(3*foldBlock*8)
+		n := 1 + rng.Intn(3*trace.BlockSize*8)
 		if rng.Intn(4) == 0 {
-			n = 1 + rng.Intn(foldBlock-1) // shorter than a block
+			n = 1 + rng.Intn(trace.BlockSize-1) // shorter than a block
 		}
-		label := fmt.Sprintf("seed=%d %s single=%v n=%d", seed, kind, single, n)
+		from := rng.Intn(2 * trace.BlockSize)
+		label := fmt.Sprintf("seed=%d %s single=%v n=%d from=%d", seed, kind, single, n, from)
 		oracle, folded := foldTwins(t, rng, single)
 		w := foldWindow(rng, kind, bandEdges(oracle), n)
+		// The span [from, from+n) of a trace with other samples around it.
+		vals := foldWindow(rng, kind, bandEdges(oracle), from+n+rng.Intn(2*trace.BlockSize))
+		copy(vals[from:], w)
+		blocks := trace.NewBlocks(trace.MustNew(vals))
 
 		// Per-sample oracle: Distribute+Tick one second at a time.
 		before := oracle.Breakdown()
@@ -165,7 +174,7 @@ func TestFoldMatchesPerSampleDispatch(t *testing.T) {
 		wantB := oracle.Breakdown()
 
 		f := folded.StartFold()
-		demand, served, violation := f.Fold(w)
+		demand, served, violation := f.Fold(blocks, from, from+n)
 		e, err := f.Commit(w[len(w)-1], float64(len(w)))
 		if err != nil {
 			t.Fatal(err)
@@ -192,34 +201,52 @@ func TestFoldMatchesPerSampleDispatch(t *testing.T) {
 	}
 }
 
-// A window that never leaves one band folds every block in closed form;
-// one that crosses a band edge inside a block folds that block sample by
-// sample, and SlowFoldSamples counts it.
+// A span that never leaves one band folds every whole block in closed
+// form; a block that crosses a band edge is folded sample by sample, and
+// SlowFoldSamples counts it. FoldSamplesRead counts those samples and the
+// samples of a span's partial edge blocks, which are read to summarize
+// them.
 func TestFoldCountsSlowSamples(t *testing.T) {
 	c := mustCluster(t)
 	if _, _, err := c.SetTarget(map[string]int{"big": 2, "little": 3}); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	fold := func(w []float64) {
+	read, slow := 0, 0
+	fold := func(vals []float64, from, to int) (int, int) {
 		f := c.StartFold()
-		f.Fold(w)
-		if _, err := f.Commit(w[len(w)-1], float64(len(w))); err != nil {
+		f.Fold(trace.NewBlocks(trace.MustNew(vals)), from, to)
+		if _, err := f.Commit(vals[to-1], float64(to-from)); err != nil {
 			t.Fatal(err)
 		}
+		r, s := c.FoldSamplesRead()-read, c.SlowFoldSamples()-slow
+		read, slow = c.FoldSamplesRead(), c.SlowFoldSamples()
+		return r, s
 	}
-	steady := make([]float64, 3*foldBlock)
+	steady := make([]float64, 3*trace.BlockSize)
 	for i := range steady {
 		steady[i] = 50 + float64(i%7) // inside the big pool's band [0, 200)
 	}
-	fold(steady)
-	if got := c.SlowFoldSamples(); got != 0 {
-		t.Fatalf("steady window: %d slow samples, want 0", got)
+	for _, sc := range []struct {
+		name           string
+		vals           []float64
+		from, to       int
+		wantRead, slow int
+	}{
+		{"steady aligned span", steady, 0, len(steady), 0, 0},
+		{"steady unaligned span", steady, 3, len(steady) - 5, trace.BlockSize - 3 + trace.BlockSize - 5, 0},
+		{"span inside one block", steady, 70, 90, 20, 0},
+	} {
+		if r, s := fold(sc.vals, sc.from, sc.to); r != sc.wantRead || s != sc.slow {
+			t.Fatalf("%s: %d samples read, %d folded one at a time; want %d, %d", sc.name, r, s, sc.wantRead, sc.slow)
+		}
 	}
 	crossing := append([]float64(nil), steady...)
-	crossing[foldBlock+3] = 205 // the big pool's edge is 200
-	fold(crossing)
-	if got := c.SlowFoldSamples(); got != foldBlock {
-		t.Fatalf("one crossing block: %d slow samples, want %d", got, foldBlock)
+	crossing[trace.BlockSize+3] = 205 // the big pool's edge is 200
+	if r, s := fold(crossing, 0, len(crossing)); r != trace.BlockSize || s != trace.BlockSize {
+		t.Fatalf("one crossing block: %d samples read, %d folded one at a time; want %d each", r, s, trace.BlockSize)
+	}
+	if r, s := fold(crossing, trace.BlockSize+1, trace.BlockSize+9); r != 8 || s != 8 {
+		t.Fatalf("crossing partial block: %d samples read, %d folded one at a time; want 8 each", r, s)
 	}
 }

@@ -33,17 +33,20 @@ type Predictor interface {
 // LookaheadMax is the paper's predictor: the maximum of the next Window
 // seconds of the trace (perfect knowledge within the window, none beyond).
 //
-// It keeps only the trace and the window width. WindowMax and FirstExit
-// answer from the trace's samples directly, which is all the interval
-// integrator's default path (sched.DecideSpan) asks. Predict, the
-// per-second form, reads a sliding-max array that the first Predict call
-// materializes (trace.SlidingMax, one float64 per sample): its consumers —
-// the tick oracle, the live controller, the per-second decision scan of
-// app-aware or overhead-aware schedulers, and wrapping predictors — pay
-// for it, once per predictor. A LookaheadMax is safe for concurrent use,
-// so one can be shared across the cells of a sweep.
+// It keeps the trace's block summary (trace.Blocks) and the window width.
+// WindowMax and FirstExit answer from the block maxima, reading samples
+// only at partial edge blocks and where a block cannot be decided whole,
+// which is all the interval integrator's default path (sched.DecideSpan)
+// asks. Predict, the per-second form, reads a sliding-max array that the
+// first Predict call materializes (trace.SlidingMax, one float64 per
+// sample): its consumers — the tick oracle, the live controller, the
+// per-second decision scan of app-aware or overhead-aware schedulers, and
+// wrapping predictors — pay for it, once per predictor. A LookaheadMax is
+// safe for concurrent use, so one can be shared across the cells of a
+// sweep.
 type LookaheadMax struct {
 	tr     *trace.Trace
+	blocks *trace.Blocks
 	window int
 	name   string
 
@@ -53,20 +56,33 @@ type LookaheadMax struct {
 }
 
 // NewLookaheadMax returns the look-ahead predictor over tr for the given
-// window width in seconds. It precomputes nothing.
+// window width in seconds. It builds the trace's block summary.
 func NewLookaheadMax(tr *trace.Trace, window int) (*LookaheadMax, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("predict: look-ahead over an empty trace")
+	}
+	return NewLookaheadMaxOver(trace.NewBlocks(tr), window)
+}
+
+// NewLookaheadMaxOver returns the look-ahead predictor over the trace that
+// b summarizes, sharing b rather than building a summary of its own.
+func NewLookaheadMaxOver(b *trace.Blocks, window int) (*LookaheadMax, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("predict: invalid window %d", window)
 	}
-	if tr == nil || tr.Len() == 0 {
+	if b == nil || b.Trace().Len() == 0 {
 		return nil, fmt.Errorf("predict: look-ahead over an empty trace")
 	}
 	return &LookaheadMax{
-		tr:     tr,
+		tr:     b.Trace(),
+		blocks: b,
 		window: window,
 		name:   fmt.Sprintf("lookahead-max(%ds)", window),
 	}, nil
 }
+
+// Blocks returns the block summary the predictor answers from.
+func (p *LookaheadMax) Blocks() *trace.Blocks { return p.blocks }
 
 // Predict implements Predictor. Out-of-range t clamps to the trace bounds.
 func (p *LookaheadMax) Predict(t int) float64 {
@@ -90,89 +106,163 @@ func (p *LookaheadMax) Predict(t int) float64 {
 // length after it.
 func (p *LookaheadMax) SamplesBuilt() int { return int(p.built.Load()) }
 
-// WindowMax returns Predict(t), computed from the window's samples in
-// O(Window) without materializing the sliding-max array.
+// WindowMax returns Predict(t) without materializing the sliding-max
+// array: the maximum of the window's partial edge blocks, read sample by
+// sample, and of the block maxima between them.
 func (p *LookaheadMax) WindowMax(t int) float64 {
-	return p.tr.MaxInWindow(t, p.window)
+	return p.blocks.MaxInWindow(t, p.window)
 }
 
 // FirstExit returns the first second u in [from, limit) whose prediction,
 // scaled by h > 0, leaves the band [lo, hi): WindowMax(u)·h < lo or
 // WindowMax(u)·h >= hi. It returns limit when no second in the range
-// leaves the band. lo may be -Inf and hi +Inf.
+// leaves the band. lo may be -Inf and hi +Inf. read is how many samples
+// the query read one at a time.
 //
 // Floating-point multiplication by h > 0 is monotone, so the scaled
-// window maximum is the maximum of the scaled samples, and a window is in
-// the band exactly when it holds a sample with v·h >= lo and none with
-// v·h >= hi. One forward pass therefore decides every second: it checks
-// each sample as it enters the window and tracks the last sample with
-// v·h >= lo. Windows clamped at the trace end shrink toward the last
-// sample, which every later second predicts alone, as Predict clamps.
-// The pass costs O(Window + u - from).
-func (p *LookaheadMax) FirstExit(from, limit int, h, lo, hi float64) int {
+// window maximum is the maximum of the scaled samples, and a block whose
+// max·h falls below a threshold holds no sample that reaches it. A window
+// is in the band exactly when it holds a sample with v·h >= lo (a "lo
+// sample") and none with v·h >= hi. One forward pass therefore decides
+// every second: it checks the samples entering the window against hi and
+// tracks last, a lower bound on the latest lo sample that has entered,
+// which must not fall behind the window's start. The entering samples of
+// one block whose max·h < hi are skipped without reading them as long as
+// last covers every second they decide; when the block holds a lo sample,
+// its start becomes the new bound. Otherwise the pass resolves the latest
+// lo sample exactly (backwards, skipping blocks whose max·h < lo) and
+// steps one sample at a time to the block's edge. Windows clamped at the
+// trace end shrink toward the last sample, which every later second
+// predicts alone, as Predict clamps.
+func (p *LookaheadMax) FirstExit(from, limit int, h, lo, hi float64) (exit, read int) {
 	if from >= limit {
-		return limit
+		return limit, 0
 	}
 	n := p.tr.Len()
-	vals := p.tr.Window(0, n)
 	if from < 0 {
 		// Seconds before the trace predict as second 0 does.
-		e := p.FirstExit(0, max(limit, 1), h, lo, hi)
+		e, read := p.FirstExit(0, max(limit, 1), h, lo, hi)
 		if e == 0 {
-			return from
+			return from, read
 		}
-		return min(e, limit)
+		return min(e, limit), read
 	}
 	if from >= n {
 		// Seconds past the trace predict as its last second does.
-		if p.FirstExit(n-1, n, h, lo, hi) == n-1 {
-			return from
+		if e, read := p.FirstExit(n-1, n, h, lo, hi); e == n-1 {
+			return from, read
 		}
-		return limit
-	}
-	if p.WindowMax(from)*h >= hi {
-		return from
+		return limit, read
 	}
 	// The window of second u is [u, r] with r = min(u+window, n) - 1.
 	r := min(from+p.window, n) - 1
-	win := vals[from : r+1]
-	last := -1 // the last index <= r with vals·h >= lo
-	for j := len(win) - 1; j >= 0; j-- {
-		if win[j]*h >= lo {
-			last = from + j
-			break
+	// The window of from reaches hi when it holds any sample that does.
+	at, _, read := p.lastAtLeast(from, r, h, hi, false)
+	if at >= from {
+		return from, read
+	}
+	// last is exact when it is the latest lo sample below j itself, and
+	// otherwise a lower bound on it: a lo sample lies in [last, j).
+	last, exact, k := p.lastAtLeast(from, r, h, lo, false)
+	read += k
+	if last < from {
+		return from, read
+	}
+	// Until the right edge reaches the trace end, second u = j-window+1
+	// adds sample j to its window, for j in [r+1, end).
+	vals := p.tr.Window(0, n)
+	b := p.blocks
+	end := r + 1 + min(n-1-r, limit-from-1)
+	for j := r + 1; j < end; {
+		// The samples [j, stop) lie in the block that starts at bs.
+		bs := j / trace.BlockSize * trace.BlockSize
+		blockEnd := min(bs+trace.BlockSize, n)
+		stop := min(end, blockEnd)
+		if m := b.BlockMax(j/trace.BlockSize) * h; m < hi {
+			// None of them reaches hi. The seconds they decide, up to
+			// stop-window, stay in the band if last covers them all.
+			if last < stop-p.window && !exact {
+				last, exact, k = p.lastAtLeast(last, j-1, h, lo, true)
+				read += k
+			}
+			if last >= stop-p.window {
+				if m >= lo {
+					// The block holds a lo sample: once it has entered
+					// whole, its start bounds the latest one.
+					exact = false
+					if stop == blockEnd {
+						last = max(last, bs)
+					}
+				}
+				j = stop
+				continue
+			}
+		}
+		// Step one sample at a time to the block edge.
+		for ; j < stop; j++ {
+			u := j - p.window + 1
+			x := vals[j] * h
+			read++
+			if x >= hi {
+				return u, read
+			}
+			if x >= lo {
+				last, exact = j, true
+				continue
+			}
+			if last < u && !exact {
+				last, exact, k = p.lastAtLeast(last, j-1, h, lo, true)
+				read += k
+			}
+			if last < u {
+				return u, read
+			}
 		}
 	}
-	if last < 0 {
-		return from
-	}
-	// Until the right edge reaches the trace end, second u = from+1+i
-	// adds sample r+1+i to its window.
-	added := vals[r+1 : r+1+min(n-1-r, limit-from-1)]
-	for i, v := range added {
-		u := from + 1 + i
-		x := v * h
-		if x >= hi {
-			return u
-		}
-		if x >= lo {
-			last = r + 1 + i
-		}
-		if last < u {
-			return u
-		}
-	}
-	if from+1+len(added) == limit {
-		return limit
+	if end-r-1 == limit-from-1 {
+		return limit, read
 	}
 	// The right edge has reached the trace end, and last is at least the
 	// last second checked: later windows only lose samples, so the first
-	// exit is the first second past last, unless last is the final sample,
-	// which every later window keeps.
-	if last < n-1 && last+1 < limit {
-		return last + 1
+	// exit is the first second past the latest lo sample, unless that is
+	// the final sample, which every later window keeps.
+	if !exact {
+		last, _, k = p.lastAtLeast(last, n-1, h, lo, true)
+		read += k
 	}
-	return limit
+	if last < n-1 && last+1 < limit {
+		return last + 1, read
+	}
+	return limit, read
+}
+
+// lastAtLeast finds the last index in [a, z] whose sample v has
+// v·h >= thr, walking backwards and skipping every block whose max·h <
+// thr, whole or in part. With exact set it returns that index; otherwise it may stop
+// at a whole block whose max·h >= thr and return the block's start, a
+// lower bound on the index, with exact false. It returns a-1 when there
+// is no such sample, and how many samples it read.
+func (p *LookaheadMax) lastAtLeast(a, z int, h, thr float64, exact bool) (idx int, isExact bool, read int) {
+	vals := p.tr.Window(0, p.tr.Len())
+	for j := z; j >= a; {
+		k := j / trace.BlockSize
+		start := k * trace.BlockSize
+		if p.blocks.BlockMax(k)*h < thr {
+			// No sample of the block, whole or in part, reaches thr.
+			j = start - 1
+			continue
+		}
+		if !exact && start >= a && (j == start+trace.BlockSize-1 || j == len(vals)-1) {
+			return start, false, read
+		}
+		for stop := max(a, start); j >= stop; j-- {
+			read++
+			if vals[j]*h >= thr {
+				return j, true, read
+			}
+		}
+	}
+	return a - 1, true, read
 }
 
 // Window returns the look-ahead width in seconds.

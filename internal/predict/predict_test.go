@@ -244,10 +244,11 @@ func TestErrorInjectorName(t *testing.T) {
 }
 
 // firstExitOracle is FirstExit by definition: the first second in
-// [from, limit) whose WindowMax, scaled by h, leaves [lo, hi).
+// [from, limit) whose window maximum, scanned sample by sample by
+// trace.MaxInWindow and scaled by h, leaves [lo, hi).
 func firstExitOracle(p *LookaheadMax, from, limit int, h, lo, hi float64) int {
 	for u := from; u < limit; u++ {
-		if x := p.WindowMax(u) * h; x < lo || x >= hi {
+		if x := p.tr.MaxInWindow(u, p.window) * h; x < lo || x >= hi {
 			return u
 		}
 	}
@@ -299,11 +300,96 @@ func TestFirstExitMatchesPerSecondOracle(t *testing.T) {
 		}
 		from := rng.Intn(n+8) - 4
 		limit := from + rng.Intn(n+8) - 2
-		got := p.FirstExit(from, limit, h, lo, hi)
+		got, _ := p.FirstExit(from, limit, h, lo, hi)
 		if want := firstExitOracle(p, from, limit, h, lo, hi); got != want {
 			t.Fatalf("vals %v window %d h %v band [%v, %v) from %d limit %d: FirstExit = %d, want %d",
 				vals, window, h, lo, hi, from, limit, got, want)
 		}
+	}
+}
+
+// FirstExit agrees with the per-second oracle on traces long enough that
+// whole blocks are skipped: 1 to 3000 samples, windows of 1 to 600
+// seconds, slowly drifting loads (so that many blocks stay inside a band)
+// with plateaus, spikes and zeros, and bands drawn from the scaled
+// samples. The oracle reads the trace's sliding-max array, which
+// trace.SlidingMax builds independently of the block summary.
+func TestFirstExitSkipsBlocksLikeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	queries, skipped := 0, 0
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(3000)
+		vals := make([]float64, n)
+		level := rng.Float64() * 100
+		for i := range vals {
+			switch rng.Intn(50) {
+			case 0:
+				level = rng.Float64() * 100 // a jump
+			case 1:
+				vals[i] = level * 3 // a spike
+				continue
+			}
+			level = math.Max(0, level+rng.NormFloat64())
+			vals[i] = level
+			if rng.Intn(200) == 0 {
+				vals[i] = 0
+			}
+		}
+		tr := mkTrace(t, vals)
+		window := 1 + rng.Intn(600)
+		p, err := NewLookaheadMax(tr, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxes, err := tr.SlidingMax(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := func(u int) float64 { return maxes[min(max(u, 0), n-1)] }
+		for q := 0; q < 300; q++ {
+			h := 1.0
+			if rng.Intn(2) == 0 {
+				h = 1 + rng.Float64()
+			}
+			edge := func() float64 {
+				switch rng.Intn(6) {
+				case 0:
+					return math.Inf(-1)
+				case 1:
+					return math.Inf(1)
+				case 2, 3:
+					return vals[rng.Intn(n)] * h
+				default:
+					return rng.Float64() * 150
+				}
+			}
+			lo, hi := edge(), edge()
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			from := rng.Intn(n+8) - 4
+			limit := from + rng.Intn(n+8) - 2
+			want := limit
+			for u := from; u < limit; u++ {
+				if x := pred(u) * h; x < lo || x >= hi {
+					want = u
+					break
+				}
+			}
+			got, read := p.FirstExit(from, limit, h, lo, hi)
+			if got != want {
+				t.Fatalf("n %d window %d h %v band [%v, %v) from %d limit %d: FirstExit = %d, want %d",
+					n, window, h, lo, hi, from, limit, got, want)
+			}
+			queries++
+			if span := got - from; span > 4*trace.BlockSize && read < span {
+				skipped++
+			}
+		}
+	}
+	t.Logf("%d queries, %d long ones read fewer samples than seconds decided", queries, skipped)
+	if skipped == 0 {
+		t.Fatal("no query skipped a block")
 	}
 }
 

@@ -15,7 +15,7 @@
 // decision outcome extends, letting the interval-integrator engine fold
 // whole quiescent spans in one step. On the default path — no application,
 // not overhead-aware, the look-ahead predictor and a dense table — it
-// answers with first-exit queries over the raw samples
+// answers with first-exit queries over the trace's block summary
 // (predict.LookaheadMax.FirstExit against bml.Table.Band); otherwise it
 // scans predictions one second at a time.
 package sched
@@ -130,6 +130,12 @@ type Scheduler struct {
 	// dense table. window is pred, dense is table.
 	window *predict.LookaheadMax
 	dense  *bml.Table
+	// exitRead counts the samples FirstExit queries read one at a time.
+	exitRead int
+
+	// scratch holds the target and fleet counts Step's no-app decision
+	// compares, reused every second.
+	scratch [2]map[string]int
 }
 
 // New validates the configuration and builds a scheduler.
@@ -182,6 +188,7 @@ func New(cfg Config) (*Scheduler, error) {
 		overheadAware:   cfg.OverheadAware,
 		amortizeSeconds: amortize,
 		logCap:          logCap,
+		scratch:         [2]map[string]int{{}, {}},
 	}
 	if cfg.App == nil && !cfg.OverheadAware {
 		window, _ := cfg.Predictor.(*predict.LookaheadMax)
@@ -287,9 +294,13 @@ func (s *Scheduler) decide(t int, rep *StepReport, inSpan bool) error {
 	if inSpan && s.app == nil && s.fleetMatches(target) {
 		// No change: the prediction window just slides. Without an
 		// application no malleability adjustment applies, so the test
-		// needs neither count map. The tick oracle (Step) keeps the map
-		// comparison below, the reference the engine differential suites
-		// hold this one to.
+		// needs neither count map.
+		return nil
+	}
+	if !inSpan && s.app == nil && sameCounts(target.CountsInto(s.scratch[0]), s.cl.CountsInto(s.scratch[1])) {
+		// No change, tested on two reused maps: the tick oracle keeps the
+		// map comparison as the reference the differential suites hold
+		// DecideSpan's positional test to, without allocating per second.
 		return nil
 	}
 	counts, adjusted := s.adjustForMalleability(target, p)

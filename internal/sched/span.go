@@ -18,7 +18,7 @@ import (
 // On the default path (no application, not overhead-aware, the
 // look-ahead predictor and a dense table) an outcome is no-op exactly
 // while the prediction stays in a band of the table, so the search is a
-// first-exit query over the raw samples (firstActing). Other
+// first-exit query over the trace's block summary (firstActing). Other
 // configurations scan predictions one second at a time, classifying each
 // second as no-op, overhead-aware skip or action.
 
@@ -132,7 +132,10 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 func (s *Scheduler) firstActing(from, limit int, p float64) int {
 	for u := from; u < limit; u++ {
 		lo, hi := s.dense.Band(p)
-		if u = s.window.FirstExit(u, limit, s.headroom, lo, hi); u >= limit {
+		var read int
+		u, read = s.window.FirstExit(u, limit, s.headroom, lo, hi)
+		s.exitRead += read
+		if u >= limit {
 			break
 		}
 		p = s.window.WindowMax(u) * s.headroom
@@ -142,6 +145,11 @@ func (s *Scheduler) firstActing(from, limit int, p float64) int {
 	}
 	return limit
 }
+
+// ExitSamplesRead returns how many samples DecideSpan's first-exit queries
+// have read one at a time (predict.LookaheadMax.FirstExit), over the
+// scheduler's lifetime.
+func (s *Scheduler) ExitSamplesRead() int { return s.exitRead }
 
 // fleetMatches reports whether the combination's node counts equal the
 // fleet's active counts — sameCounts(target.Counts(), s.cl.Counts())

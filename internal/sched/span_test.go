@@ -94,11 +94,10 @@ func TestDecideSpanFirstExitMatchesPerSecondScan(t *testing.T) {
 				next = min(next, t0+int(math.Ceil(w-1e-9)))
 			}
 			next = max(next, t0+1)
-			win := tr.Window(t0, next)
 			for _, sc := range []*Scheduler{fast, slow} {
 				f := sc.StartDemandFold()
-				f.Fold(win)
-				if _, err := sc.FinishDemandFold(f, win[len(win)-1], float64(next-t0)); err != nil {
+				f.Fold(la.Blocks(), t0, next)
+				if _, err := sc.FinishDemandFold(f, tr.At(next-1), float64(next-t0)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -98,8 +98,9 @@ func TestRunBMLAllocatesNoPerSampleBuffer(t *testing.T) {
 	}
 }
 
-// The integrator's demand fold classifies each span in blocks and folds
-// only the blocks that straddle a band edge one sample at a time. On a raw
+// The integrator's demand fold reads each span's whole blocks from the
+// trace's summary and folds only the blocks that straddle a band edge one
+// sample at a time. On a raw
 // World Cup trace, where every second differs but the load moves slowly
 // against the band widths, those samples are a small share of the trace.
 func TestDemandFoldSlowSamplesRaw(t *testing.T) {
@@ -113,14 +114,14 @@ func TestDemandFoldSlowSamplesRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, cl, err := buildBMLRig(tr, planner, BMLConfig{})
+	rig, err := buildBMLRig(tr, nil, planner, BMLConfig{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runBMLIntegrator(tr, sc, newResult("bml", tr.Days()), 0, nil); err != nil {
+	if err := runBMLIntegrator(rig.blocks, rig.sc, newResult("bml", tr.Days()), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	slow := cl.SlowFoldSamples()
+	slow := rig.cl.SlowFoldSamples()
 	share := float64(slow) / float64(tr.Len())
 	t.Logf("%d of %d samples folded one at a time (%.1f%%)", slow, tr.Len(), 100*share)
 	if share > 0.15 {

@@ -98,22 +98,29 @@ func TestDirCacheRoundTrip(t *testing.T) {
 // A cache written by a schema-2 build holds results from before the affine
 // fold under this build's cell IDs. Get refuses such an entry with
 // ErrCellSchema instead of serving its bits, and Put refuses to store one.
-func TestDirCacheRefusesSchema2Entry(t *testing.T) {
+func TestDirCacheRefusesSchema2Entry(t *testing.T) { testDirCacheRefusesSchema(t, 2) }
+
+// A schema-3 cache holds results from before the block summary, whose
+// block sums fold demand in another order, under the same cell IDs; it is
+// refused the same way.
+func TestDirCacheRefusesSchema3Entry(t *testing.T) { testDirCacheRefusesSchema(t, 3) }
+
+func testDirCacheRefusesSchema(t *testing.T, schema int) {
 	cache, err := NewDirCache(filepath.Join(t.TempDir(), "cells"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, recs := gridAndRecords(t)
 	old := recs[0]
-	old.Schema = 2
+	old.Schema = schema
 	if err := WriteCellRecord(mustCreate(t, cachePath(cache.Dir(), old.ID)), old); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := cache.Get(old.ID); ok || !errors.Is(err, ErrCellSchema) {
-		t.Errorf("Get of a schema-2 entry = ok=%v, %v; want ErrCellSchema", ok, err)
+		t.Errorf("Get of a schema-%d entry = ok=%v, %v; want ErrCellSchema", schema, ok, err)
 	}
 	if err := cache.Put(old); !errors.Is(err, ErrCellSchema) {
-		t.Errorf("Put of a schema-2 record = %v; want ErrCellSchema", err)
+		t.Errorf("Put of a schema-%d record = %v; want ErrCellSchema", schema, err)
 	}
 }
 

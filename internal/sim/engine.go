@@ -59,75 +59,59 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 
 // The bound scenarios' fast path is one day-span fold in the integrator's
 // shape, shared by every bound leg a call asks for. Their models change
-// only at day edges (the fleet size) and at load changes (the draw), so
-// each day sizes every leg once and walks tr.Window(day) one run of equal
-// samples at a time, folding the QoS seconds and demand sums every leg
-// shares and the day's own demand integral D_day. The sums live in locals
-// while a leg folds a chunk of runs and are written back to the Result
-// once per day.
+// only at day edges (the fleet size) and at load changes (the draw). Each
+// day sizes every leg once from the day's peak, and takes the QoS seconds
+// and demand sums every leg shares, and the day's own demand integral
+// D_day, from the trace's block summary (trace.Blocks: a day is exactly
+// 1350 blocks).
 //
-// A homogeneous leg whose day peak fits its capacity serves every run in
-// full, and profile.Arch.PowerAt is affine, so its fill-first draw on n
+// A homogeneous leg whose day peak fits its capacity serves every second
+// in full, and profile.Arch.PowerAt is affine, so its fill-first draw on n
 // nodes is n·IdlePower + slope·demand with slope = (MaxPower −
 // IdlePower)/MaxPerf: the day's energy is n·IdlePower·T_day + slope·D_day,
-// charged once at the end of the day with no per-run work at all. Only a
-// day that clamps (UB PerDay's trailing partial day, whose fallback sizing
-// can under-provision) packs each run with fleetPowerN. The LowerBound leg
-// looks its powers up one chunk of runs at a time. TestResultBitsPinned
-// pins the resulting bits; TestRunAllMatchesSequentialRuns holds the fused
-// legs to the single-leg calls bit for bit; the differential suites hold
-// them within 1e-6 J of the tick oracle.
+// charged once at the end of the day from the summary, reading no sample.
+// Only a day that clamps (UB PerDay's trailing partial day, whose
+// fallback sizing can under-provision) is walked for its leg, packing
+// each second with fleetPowerN. The LowerBound leg walks every day, one
+// block of the summary at a time: a constant block is one run, looked up
+// once, and any other block's samples are looked up together — its cost
+// is not affine within a block on raw traces. Its sums live in locals
+// while it folds a day, and every leg writes back to its Result once per
+// day. TestResultBitsPinned pins the resulting bits;
+// TestRunAllMatchesSequentialRuns holds the fused legs to the single-leg
+// calls bit for bit; the differential suites hold them within 1e-6 J of
+// the tick oracle.
 
-// energySums is one leg's energy for the day, held in locals: the total and
-// daily energy as Neumaier pairs.
+// energySums is one leg's energy for the day as a Neumaier pair.
 type energySums struct {
-	total, totalComp float64
 	daily, dailyComp float64
 }
 
-// startDay copies the energy sums the kernel folds into out of r.
-func (r *Result) startDay() energySums {
-	return energySums{total: float64(r.TotalEnergy), totalComp: r.totalComp}
-}
-
-// commitDay writes day d's sums back: the total and QoS always, the daily
-// bucket only for complete days (a trailing partial day has none, exactly
-// as addEnergy leaves it uncredited).
+// commitDay writes day d's sums back: it adds the day's energy to the
+// total, and the QoS always, the daily bucket only for complete days (a
+// trailing partial day has none, exactly as addEnergy leaves it
+// uncredited).
 func (r *Result) commitDay(d int, s energySums, q qos.Fold) {
-	r.TotalEnergy, r.totalComp = power.Joules(s.total), s.totalComp
+	total, comp := power.NeumaierAdd(float64(r.TotalEnergy), r.totalComp, s.daily)
+	r.TotalEnergy, r.totalComp = power.Joules(total), comp+s.dailyComp
 	if d < len(r.DailyEnergy) {
 		r.DailyEnergy[d], r.dailyComp[d] = power.Joules(s.daily), s.dailyComp
 	}
 	r.QoS.CommitFold(q)
 }
 
-// runChunk holds up to chunkRuns consecutive runs of equal samples as the
-// bound legs see them, one array per field: the demand, the run length,
-// and the LowerBound's optimal power for the demand.
-type runChunk struct {
-	n      int
-	demand [chunkRuns]float64
-	dt     [chunkRuns]float64
-	power  [chunkRuns]power.Watts
-}
-
-// chunkRuns is how many runs the kernel detects before the legs fold them:
-// small enough for a buffer that stays in cache, large enough that each
-// leg's loop runs long with its sums in registers.
-const chunkRuns = 256
-
 // homLeg is one homogeneous bound scenario (UB Global or UB PerDay) inside
 // a bounds fold: a fleet of always-on nodes whose size is a per-day
-// constant. On a day that clamps, per run, the served load is the demand
-// clamped to the day's capacity and the draw is fleetPowerN's fill-first
-// packing; every other day folds in closed form in commitDay.
+// constant. On a day that clamps, per second, the served load is the
+// demand clamped to the day's capacity and the draw is fleetPowerN's
+// fill-first packing; every other day folds in closed form in commitDay.
 type homLeg struct {
 	res  *Result
 	size func(day int) int
 	// q is the leg's QoS fold. Its seconds and demand sums are the
 	// kernel's shared ones; its served sum is too while servedIsDemand
 	// holds, that is while no day's peak has exceeded the leg's capacity,
-	// so that every run has served exactly its demand.
+	// so that every second has served exactly its demand.
 	q              qos.Fold
 	servedIsDemand bool
 
@@ -144,38 +128,29 @@ func (l *homLeg) startDay(arch *profile.Arch, d int, peak float64) {
 	l.capacity = float64(l.n) * arch.MaxPerf
 	l.idle = float64(l.n) * float64(arch.IdlePower)
 	// On a day whose peak fits the capacity, min(demand, capacity) is the
-	// demand itself, bit for bit: every run is served in full, and the day
-	// folds in closed form.
+	// demand itself, bit for bit: every second is served in full, and the
+	// day folds in closed form.
 	l.clamps = peak > l.capacity
 	if l.clamps {
 		l.servedIsDemand = false
 	}
 	l.bIdle, l.bDyn = float64(l.res.Breakdown.Idle), float64(l.res.Breakdown.Dynamic)
-	l.e = l.res.startDay()
+	l.e = energySums{}
 }
 
-// fold folds a chunk of runs into the leg, in run order, on a day that
-// clamps: per run, the served load is the demand clamped to the day's
-// capacity and the draw is fleetPowerN's fill-first packing of it.
-func (l *homLeg) fold(arch *profile.Arch, c *runChunk) {
-	n, capacity, idle := l.n, l.capacity, l.idle
-	bIdle, bDyn, e, served, violation := l.bIdle, l.bDyn, l.e, l.q.Served, l.q.ViolationSeconds
-	dts := c.dt[:c.n]
-	for r, demand := range c.demand[:c.n] {
-		dt := dts[r]
-		s := min(demand, capacity)
-		total := fleetPowerN(arch, n, s)
-		served = served.Plus(s * dt)
-		if demand-s > qos.Slack {
-			violation += dt
-		}
-		bIdle += idle * dt
-		bDyn += (total - idle) * dt
-		en := total * dt
-		e.total, e.totalComp = power.NeumaierAdd(e.total, e.totalComp, en)
-		e.daily, e.dailyComp = power.NeumaierAdd(e.daily, e.dailyComp, en)
+// fold folds dt seconds of constant demand into the leg on a day that
+// clamps: the served load is the demand clamped to the day's capacity and
+// the draw is fleetPowerN's fill-first packing of it.
+func (l *homLeg) fold(arch *profile.Arch, demand, dt float64) {
+	s := min(demand, l.capacity)
+	total := fleetPowerN(arch, l.n, s)
+	l.q.Served = l.q.Served.Plus(s * dt)
+	if demand-s > qos.Slack {
+		l.q.ViolationSeconds += dt
 	}
-	l.bIdle, l.bDyn, l.e, l.q.Served, l.q.ViolationSeconds = bIdle, bDyn, e, served, violation
+	l.bIdle += l.idle * dt
+	l.bDyn += (total - l.idle) * dt
+	l.e.daily, l.e.dailyComp = power.NeumaierAdd(l.e.daily, l.e.dailyComp, total*dt)
 }
 
 // commitDay writes day d back to the leg's Result, taking the seconds and
@@ -189,7 +164,6 @@ func (l *homLeg) commitDay(arch *profile.Arch, d int, shared qos.Fold, seconds f
 		l.bIdle += idle
 		l.bDyn += dyn
 		for _, en := range [2]float64{idle, dyn} {
-			l.e.total, l.e.totalComp = power.NeumaierAdd(l.e.total, l.e.totalComp, en)
 			l.e.daily, l.e.dailyComp = power.NeumaierAdd(l.e.daily, l.e.dailyComp, en)
 		}
 		if !l.servedIsDemand {
@@ -204,21 +178,18 @@ func (l *homLeg) commitDay(arch *profile.Arch, d int, shared qos.Fold, seconds f
 	l.res.commitDay(d, l.e, l.q)
 }
 
-// foldLowerBound folds a chunk of runs into the LowerBound leg's energy,
-// whose power the chunk already holds. A load the solver cannot cover (an
-// infinite optimum) is an error; valid says the solver's table was found
-// to cover every load when it was built (bml.ExactSolver.AlwaysValid), so
-// that no power needs checking.
-func foldLowerBound(c *runChunk, e *energySums, valid bool) error {
+// foldLowerBound folds per-second powers into the LowerBound leg's
+// energy. A load the solver cannot cover (an infinite optimum) is an
+// error; valid says the solver's table was found to cover every load when
+// it was built (bml.ExactSolver.AlwaysValid), so that no power needs
+// checking.
+func foldLowerBound(powers []power.Watts, e *energySums, valid bool) error {
 	s := *e
-	dts := c.dt[:c.n]
-	for r, p := range c.power[:c.n] {
+	for _, p := range powers {
 		if !valid && !p.IsValid() {
 			return power.ErrNegativePower
 		}
-		en := float64(p) * dts[r]
-		s.total, s.totalComp = power.NeumaierAdd(s.total, s.totalComp, en)
-		s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, en)
+		s.daily, s.dailyComp = power.NeumaierAdd(s.daily, s.dailyComp, float64(p))
 	}
 	*e = s
 	return nil
@@ -235,20 +206,24 @@ type boundsFold struct {
 	solver *bml.ExactSolver
 }
 
-// run walks tr day by day; peaks[d] is the peak of day window d (the
-// trailing partial day included). Each day's runs are detected a chunk at
-// a time, with the shared sums and the day's demand integral folded on the
-// way; then the legs that need per-run work (a clamping homogeneous leg,
-// the LowerBound) fold the chunk in their own loops.
-func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
+// run walks the trace that b summarizes day by day; peaks[d] is the peak
+// of day window d (the trailing partial day included). The shared QoS
+// demand sum and each day's demand integral come from the day's block
+// sums. Only a day on which some leg needs per-second work (a clamping
+// homogeneous leg, the LowerBound) is walked, one block of the summary at
+// a time: a constant block (min = max) folds as one run of its length,
+// and only the samples of the other blocks are read, each once. read is
+// how many samples the walk read.
+func (k *boundsFold) run(b *trace.Blocks, peaks []float64) (read int, err error) {
 	arch := &k.arch
+	tr := b.Trace()
+	vals := tr.Window(0, tr.Len())
 	var (
-		// The QoS seconds and demand sums every leg shares, as plain
-		// locals so that they stay in registers.
+		// The QoS seconds and demand sums every leg shares.
 		seconds   float64
 		demandSum power.Accumulator
 		lower     energySums
-		c         runChunk
+		powers    [trace.BlockSize]power.Watts
 	)
 	lowerValid := k.solver != nil && k.solver.AlwaysValid()
 	for d, start := 0, 0; start < tr.Len(); d, start = d+1, start+trace.SecondsPerDay {
@@ -257,40 +232,53 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 			k.hom[h].startDay(arch, d, peaks[d])
 			clamps = clamps || k.hom[h].clamps
 		}
-		if k.lower != nil {
-			lower = k.lower.startDay()
-		}
+		lower = energySums{}
+		end := min(start+trace.SecondsPerDay, tr.Len())
 		var dayDemand power.Accumulator
-		w := tr.Window(start, start+trace.SecondsPerDay)
-		for i := 0; i < len(w); {
-			n := 0
-			for ; i < len(w) && n < chunkRuns; n++ {
-				j := trace.RunEnd(w, i)
-				dt := float64(j - i)
-				seconds += dt
-				demandSum = demandSum.Plus(w[i] * dt)
-				dayDemand = dayDemand.Plus(w[i] * dt)
-				c.demand[n], c.dt[n] = w[i], dt
-				i = j
+		for kb := start / trace.BlockSize; kb*trace.BlockSize < end; kb++ {
+			lo, hi, sum := b.Block(kb)
+			dayDemand.Add(sum)
+			demandSum.Add(sum)
+			if !clamps && k.lower == nil {
+				continue
 			}
-			c.n = n
-			if clamps {
+			w := vals[kb*trace.BlockSize : min((kb+1)*trace.BlockSize, end)]
+			if lo == hi {
+				// One run of len(w) seconds at demand lo.
+				dt := float64(len(w))
 				for h := range k.hom {
 					if k.hom[h].clamps {
-						k.hom[h].fold(arch, &c)
+						k.hom[h].fold(arch, lo, dt)
+					}
+				}
+				if k.lower != nil {
+					p := k.solver.PowerAt(lo)
+					if !lowerValid && !p.IsValid() {
+						return read, power.ErrNegativePower
+					}
+					lower.daily, lower.dailyComp = power.NeumaierAdd(lower.daily, lower.dailyComp, float64(p)*dt)
+				}
+				continue
+			}
+			read += len(w)
+			for h := range k.hom {
+				if k.hom[h].clamps {
+					for _, v := range w {
+						k.hom[h].fold(arch, v, 1)
 					}
 				}
 			}
 			if k.lower != nil {
-				k.solver.PowersAt(c.demand[:c.n], c.power[:])
-				if err := foldLowerBound(&c, &lower, lowerValid); err != nil {
-					return err
+				k.solver.PowersAt(w, powers[:])
+				if err := foldLowerBound(powers[:len(w)], &lower, lowerValid); err != nil {
+					return read, err
 				}
 			}
 		}
+		seconds += float64(end - start)
 		q := qos.Fold{Seconds: seconds, Demand: demandSum}
 		for h := range k.hom {
-			k.hom[h].commitDay(arch, d, q, float64(len(w)), dayDemand)
+			k.hom[h].commitDay(arch, d, q, float64(end-start), dayDemand)
 		}
 		if k.lower != nil {
 			lq := q
@@ -298,5 +286,5 @@ func (k *boundsFold) run(tr *trace.Trace, peaks []float64) error {
 			k.lower.commitDay(d, lower, lq)
 		}
 	}
-	return nil
+	return read, nil
 }

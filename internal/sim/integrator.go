@@ -24,16 +24,19 @@ import (
 //   - day boundaries, telemetry bucket boundaries (RunBMLRecorded only)
 //     and the trace end.
 //
-// Inside each span the window of raw samples is folded in closed form
+// Inside each span the raw samples are folded in closed form
 // (cluster.DemandFold.Fold): span energy needs only each pool's sum of
-// clamped demand, which a 64-sample block yields from its min, max and
-// compensated sum unless a band edge falls inside the block. The result
-// differs from the tick oracle only by rounding — the differential suites
-// hold the two to ≤1e-6 J and exact counters, on raw traces too. The
-// engine's cost is O(scheduler events) iterations plus two
-// allocation-free passes over the samples — the fold and sched's
-// first-exit query — which is what makes raw traces as cheap per
-// simulated second as quantized ones.
+// clamped demand, which a 64-sample block of the trace's summary
+// (trace.Blocks) yields from its min, max and sum unless a band edge falls
+// inside the block. The result differs from the tick oracle only by
+// rounding — the differential suites hold the two to ≤1e-6 J and exact
+// counters, on raw traces too. The engine's cost is one O(samples) build
+// of the block summary, shared with the span search and the bounds, plus
+// O(scheduler events) iterations, each of which reads the samples of its
+// span's partial edge blocks and of the blocks that straddle a band edge
+// or cannot be skipped by sched's first-exit query (Result.Cost counts
+// them) — which is what makes raw traces as cheap per simulated second as
+// quantized ones.
 
 // runBMLIntegrator is the interval-integrator BML engine loop. A positive
 // bucketSeconds also ends spans at multiples of it, so that each span lies
@@ -41,7 +44,8 @@ import (
 // with its demand integral (request-seconds) and the total energy charged
 // to it: fleet integration plus any decision-instant migration energy.
 // Plain runs pass 0 and nil.
-func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucketSeconds int, obs func(t, next int, demandInt float64, e power.Joules)) error {
+func runBMLIntegrator(b *trace.Blocks, sc *sched.Scheduler, res *Result, bucketSeconds int, obs func(t, next int, demandInt float64, e power.Joules)) error {
+	tr := b.Trace()
 	n := tr.Len()
 	for t := 0; t < n; {
 		// Spans never cross day (or bucket) boundaries, so addEnergy's day
@@ -67,10 +71,9 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucketS
 			next = t + 1
 		}
 
-		window := tr.Window(t, next)
 		fold := sc.StartDemandFold()
-		demandInt, servedInt, violation := fold.Fold(window)
-		e, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-t))
+		demandInt, servedInt, violation := fold.Fold(b, t, next)
+		e, err := sc.FinishDemandFold(fold, tr.At(next-1), float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}
@@ -81,6 +84,7 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucketS
 		if err := res.QoS.ObserveSpan(float64(next-t), demandInt, servedInt, violation); err != nil {
 			return err
 		}
+		res.Cost.Spans++
 		t = next
 	}
 	return nil

@@ -69,17 +69,23 @@ type SweepJob struct {
 
 // sweepCache shares per-trace work across the cells of one sweep or
 // shard. Fleet-scaled trace copies are O(trace) each and identical for
-// every scenario at the same scale; the BML predictor is identical for
-// every cell over the same (scaled) trace, window and spec, and the
-// per-second predictors precompute O(trace) arrays — the look-ahead
-// predictor's sliding-max array is built on its first Predict call, by
-// whichever cell needs it, once for all. Construction happens under the
-// lock so concurrent cells wait for one build instead of racing to repeat
-// it.
+// every scenario at the same scale. Every default-engine cell over the
+// same (scaled) trace reads the same block summary (trace.Blocks), so it
+// is built once per (trace, scale) and handed to the BML and bound legs
+// alike. The BML predictor is identical for every cell over the same
+// (scaled) trace, window and spec: the look-ahead predictor is built over
+// the shared summary, and the per-second predictors precompute O(trace)
+// arrays — the look-ahead predictor's sliding-max array is built on its
+// first Predict call, by whichever cell needs it, once for all.
+// Construction happens under the lock so concurrent cells wait for one
+// build instead of racing to repeat it.
 type sweepCache struct {
 	mu     sync.Mutex
 	scaled map[scaleKey]*trace.Trace
+	blocks map[*trace.Trace]*trace.Blocks
 	preds  map[predKey]predict.Predictor
+	// built counts the block summaries the cache has built.
+	built int
 }
 
 type scaleKey struct {
@@ -96,6 +102,7 @@ type predKey struct {
 func newSweepCache() *sweepCache {
 	return &sweepCache{
 		scaled: map[scaleKey]*trace.Trace{},
+		blocks: map[*trace.Trace]*trace.Blocks{},
 		preds:  map[predKey]predict.Predictor{},
 	}
 }
@@ -120,33 +127,47 @@ func (c *sweepCache) scaledTrace(tr *trace.Trace, f float64) (*trace.Trace, erro
 	return s, nil
 }
 
+// summary returns tr's block summary, building it once per cache lifetime.
+// A nil cache returns nil: the run builds its own.
+func (c *sweepCache) summary(tr *trace.Trace) *trace.Blocks {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.summaryLocked(tr)
+}
+
+func (c *sweepCache) summaryLocked(tr *trace.Trace) *trace.Blocks {
+	b, ok := c.blocks[tr]
+	if !ok {
+		b = trace.NewBlocks(tr)
+		c.blocks[tr] = b
+		c.built++
+	}
+	return b
+}
+
 // predictor returns the predictor a cell's config selects for (tr, window)
 // — the paper's look-ahead-max by default, or whatever PredictorSpec names
-// — sharing each predictor's O(trace) precomputation across every cell of
-// the sweep that replays the same trace under the same spec. Predictors
-// are safe for concurrent use — immutable after construction, except that
-// the look-ahead predictor builds its sliding-max array once, behind a
+// — sharing each predictor's precomputation across every cell of the
+// sweep that replays the same trace under the same spec. Predictors are
+// safe for concurrent use — immutable after construction, except that the
+// look-ahead predictor builds its sliding-max array once, behind a
 // sync.Once, on the first Predict call — so sharing one across concurrent
-// runs is race-free. The builder is exactly what buildBMLRig would run, so
-// cached and uncached runs are identical.
+// runs is race-free. The builder is exactly what buildBMLRig would run
+// over the shared summary, so cached and uncached runs are identical.
 func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predict.Predictor, error) {
-	build := func() (predict.Predictor, error) {
-		p, err := predictorFromSpec(tr, spec, window)
-		if p != nil || err != nil {
-			return p, err
-		}
-		return predict.NewLookaheadMax(tr, window)
-	}
-	if c == nil {
-		return build()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := predKey{tr: tr, window: window, spec: spec}
 	if p, ok := c.preds[key]; ok {
 		return p, nil
 	}
-	p, err := build()
+	p, err := predictorFromSpec(tr, spec, window)
+	if p == nil && err == nil {
+		p, err = predict.NewLookaheadMaxOver(c.summaryLocked(tr), window)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +179,10 @@ func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predic
 func (j SweepJob) run() (*Result, error) { return j.runWith(nil) }
 
 // runWith executes the job's scenario, consulting cache (when non-nil) for
-// the fleet-scaled trace and the BML predictor. The cached predictor is
-// exactly what buildBMLRig would construct (predict.NewLookaheadMax over
-// the scaled trace at the scheduler's window), so cached and uncached
-// runs are identical.
+// the fleet-scaled trace, its block summary and the BML predictor. The
+// cached predictor is exactly what buildBMLRig would construct
+// (predict.NewLookaheadMaxOver the scaled trace's summary at the
+// scheduler's window), so cached and uncached runs are identical.
 func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 	if j.Trace == nil || j.Planner == nil {
 		return nil, errors.New("sim: sweep job needs a trace and a planner")
@@ -173,11 +194,27 @@ func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 			return nil, fmt.Errorf("sim: fleet scale: %w", err)
 		}
 	}
+	o := buildOptions(j.Options)
+	var b *trace.Blocks
+	if !o.tick {
+		b = cache.summary(tr)
+	}
+	bounds := func(legs boundLeg) (*ScenarioSet, error) {
+		return runBounds(tr, b, j.Planner.Big(), j.Planner.Candidates(), legs, o)
+	}
 	switch j.Scenario {
 	case ScenarioUpperBoundGlobal:
-		return RunUpperBoundGlobal(tr, j.Planner.Big(), j.Options...)
+		set, err := bounds(legUBGlobal)
+		if err != nil {
+			return nil, err
+		}
+		return set.UpperBoundGlobal, nil
 	case ScenarioUpperBoundPerDay:
-		return RunUpperBoundPerDay(tr, j.Planner.Big(), j.Options...)
+		set, err := bounds(legUBPerDay)
+		if err != nil {
+			return nil, err
+		}
+		return set.UpperBoundPerDay, nil
 	case ScenarioBML:
 		cfg := j.BML
 		if cfg.Predictor == nil && cache != nil {
@@ -195,9 +232,14 @@ func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 			}
 			cfg.Predictor = pred
 		}
-		return RunBML(tr, j.Planner, cfg, j.Options...)
+		res, _, err := runBML(tr, b, j.Planner, cfg, false, j.Options)
+		return res, err
 	case ScenarioLowerBound:
-		return RunLowerBound(tr, j.Planner.Candidates(), j.Options...)
+		set, err := bounds(legLowerBound)
+		if err != nil {
+			return nil, err
+		}
+		return set.LowerBound, nil
 	default:
 		return nil, fmt.Errorf("sim: unknown scenario %q", j.Scenario)
 	}
@@ -233,15 +275,17 @@ func Sweep(jobs []SweepJob, workers int) []SweepResult {
 }
 
 // RunAll executes all four scenarios as two concurrent legs: the three
-// bounds in one fused walk of the trace (RunBounds), and BML (RunBML). The
-// legs are independent and cost about the same on a raw trace, so on two
-// cores the evaluation's wall time is about the slower leg's. Every result
-// is bit-identical to its single-scenario Run call. It returns the bounds'
-// error first, then BML's.
+// bounds in one fused walk of the trace (RunBounds), and BML (RunBML),
+// both reading one block summary of tr that RunAll builds for them. The
+// legs are independent, so on two cores the evaluation's wall time is
+// about the slower leg's. Every result is bit-identical to its
+// single-scenario Run call. It returns the bounds' error first, then
+// BML's.
 func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*ScenarioSet, error) {
 	if tr == nil || planner == nil {
 		return nil, errors.New("sim: nil trace or planner")
 	}
+	b := trace.NewBlocks(tr)
 	var (
 		bmlRes *Result
 		bmlErr error
@@ -249,9 +293,9 @@ func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option
 	)
 	go func() {
 		defer close(done)
-		bmlRes, bmlErr = RunBML(tr, planner, cfg, opts...)
+		bmlRes, _, bmlErr = runBML(tr, b, planner, cfg, false, opts)
 	}()
-	set, err := RunBounds(tr, planner, opts...)
+	set, err := runBounds(tr, b, planner.Big(), planner.Candidates(), legUBGlobal|legUBPerDay|legLowerBound, buildOptions(opts))
 	<-done
 	if err != nil {
 		return nil, err

@@ -47,16 +47,16 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 		return nil, fmt.Errorf("sim: invalid bucket width %d", bucketSeconds)
 	}
 	o := buildOptions(opts)
-	// Static reference sizing, as in RunUpperBoundGlobal.
-	big := planner.Big()
-	nStatic := big.NodesFor(tr.Max())
-	if nStatic == 0 {
-		nStatic = 1
-	}
-
-	sc, cl, err := buildBMLRig(tr, planner, cfg)
+	rig, err := buildBMLRig(tr, nil, planner, cfg, false)
 	if err != nil {
 		return nil, err
+	}
+	sc, cl := rig.sc, rig.cl
+	// Static reference sizing, as in RunUpperBoundGlobal.
+	big := planner.Big()
+	nStatic := big.NodesFor(rig.blocks.Max())
+	if nStatic == 0 {
+		nStatic = 1
 	}
 	buckets := (tr.Len() + bucketSeconds - 1) / bucketSeconds
 	rec := &Recording{
@@ -97,7 +97,7 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 		// reference energy is n·IdlePower·dt + slope·demandInt.
 		idle := float64(nStatic) * float64(big.IdlePower)
 		slope := float64(big.MaxPower-big.IdlePower) / big.MaxPerf
-		err := runBMLIntegrator(tr, sc, res, bucketSeconds, func(t, next int, demandInt float64, e power.Joules) {
+		err := runBMLIntegrator(rig.blocks, sc, res, bucketSeconds, func(t, next int, demandInt float64, e power.Joules) {
 			b := t / bucketSeconds
 			dt := float64(next - t)
 			rec.Load[b] += demandInt

@@ -13,13 +13,18 @@
 //     combination is re-established every second at zero switching cost.
 //
 // Two engines execute the scenarios, producing the same results to
-// rounding. The default interval integrator (integrator.go) iterates only
-// on scheduler events — decisions that act (found by sched.DecideSpan's
-// forward scan), transition completions and lock expiries, day boundaries
-// — and folds the raw trace samples inside a span in closed form
-// (cluster.DemandFold: PowerAt is affine, so a span's energy needs only
-// each pool's sum of clamped demand), so un-quantized 1 Hz traces simulate
-// as cheaply per second as quantized ones. Per-bucket telemetry
+// rounding. The default engines read one per-trace summary rather than
+// the samples: trace.Blocks, the min, max and sum of each absolute-aligned
+// 64-sample block, built in one pass per evaluation and shared by every
+// leg (RunAll builds one for both of its legs; a sweep builds one per
+// trace and fleet scale). The interval integrator (integrator.go) iterates
+// only on scheduler events — decisions that act (found by
+// sched.DecideSpan's first-exit query over the block maxima), transition
+// completions and lock expiries, day boundaries — and folds the span's
+// demand in closed form (cluster.DemandFold: PowerAt is affine, so a
+// span's energy needs only each pool's sum of clamped demand, which whole
+// blocks give from their min, max and sum), so un-quantized 1 Hz traces
+// simulate as cheaply per second as quantized ones. Per-bucket telemetry
 // (RunBMLRecorded, recorder.go) runs on the same loop, with bucket edges
 // as extra span boundaries. Per-span cost is independent of fleet size:
 // the cluster indexes pending transitions in a min-heap and integrates
@@ -27,10 +32,12 @@
 // thousand-node runs pay per span for the architectures and the machines
 // mid-transition, not for the fleet. The three bound scenarios need no
 // scheduler: outside the tick oracle they run one day-span kernel
-// (engine.go) that sizes each fleet once per day and walks the day's
-// samples run by run, for one bound or for all three in a single walk
-// (RunBounds); an upper-bound fleet whose day peak fits its capacity
-// charges the day in closed form from the day's demand integral.
+// (engine.go) that sizes each fleet once per day from the block maxima,
+// for one bound or for all three at once (RunBounds); an upper-bound
+// fleet whose day peak fits its capacity charges the day in closed form
+// from the day's block sums, and only the LowerBound reads the samples,
+// block by block. Result.Cost counts the samples each leg read one at a
+// time, so tests assert these bounds on operation counts.
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -51,8 +58,8 @@
 // as a self-describing JSONL record (stream.go) that a coordinator
 // (cmd/bmlsweep) merges, deduplicates, and validates for completeness —
 // peak memory is one shard's working set, not the grid. Cells of the same
-// sweep share per-trace predictor precomputation and fleet-scaled trace
-// copies.
+// sweep share the block summary, per-trace predictor precomputation and
+// fleet-scaled trace copies.
 package sim
 
 import (
@@ -94,6 +101,10 @@ type Result struct {
 	// (zero-valued for the LowerBound scenario, whose solver reports only
 	// total optimal power).
 	Breakdown power.Breakdown
+	// Cost counts the work the run did. It describes how a result was
+	// computed, not the result, so it stays out of cell records, summaries
+	// and bit pins.
+	Cost Cost
 
 	// Neumaier compensation terms for the energy accumulators. The tick
 	// engine performs one addition per simulated second while the
@@ -102,6 +113,26 @@ type Result struct {
 	// even on month-long traces. finalize folds them into the totals.
 	totalComp float64
 	dailyComp []float64
+}
+
+// Cost is a run's deterministic operation counts: the same on every host,
+// so tests can assert the engines' complexity bounds on them. The tick
+// oracle leaves them zero.
+type Cost struct {
+	// Spans is how many spans the BML integrator folded.
+	Spans int
+	// FoldSamples is how many samples the BML demand fold read one at a
+	// time: partial blocks at span edges and blocks straddling a band
+	// edge (cluster.Cluster.FoldSamplesRead).
+	FoldSamples int
+	// ExitSamples is how many samples the BML span search's first-exit
+	// queries read one at a time (sched.Scheduler.ExitSamplesRead).
+	ExitSamples int
+	// BoundSamples is how many samples the bounds walk that produced the
+	// result read: the samples of every non-constant block on a day that
+	// some leg walks (the LowerBound's lookup, or an upper-bound fleet
+	// that clamps). The legs of one fused walk share its count.
+	BoundSamples int
 }
 
 // newResult allocates a Result with day buckets and compensation terms.
@@ -197,25 +228,40 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 	if tr == nil || planner == nil {
 		return nil, nil, 0, errors.New("sim: nil trace or planner")
 	}
+	table, pred, headroom, _, err := liveRig(tr, nil, planner, cfg)
+	return table, pred, headroom, err
+}
+
+// liveRig is LiveRig over tr's block summary b, which it also returns. A
+// nil b is taken from the config's look-ahead predictor when that
+// summarizes tr, and built otherwise.
+func liveRig(tr *trace.Trace, b *trace.Blocks, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, predict.Predictor, float64, *trace.Blocks, error) {
 	wf := cfg.WindowFactor
 	if wf == 0 {
 		wf = sched.DefaultWindowFactor
 	}
 	window, err := sched.Window(planner.Candidates(), wf)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, nil, err
+	}
+	if b == nil {
+		if lm, ok := cfg.Predictor.(*predict.LookaheadMax); ok && lm.Blocks().Trace() == tr {
+			b = lm.Blocks()
+		} else {
+			b = trace.NewBlocks(tr)
+		}
 	}
 	pred := cfg.Predictor
 	if pred == nil {
 		pred, err = predictorFromSpec(tr, cfg.PredictorSpec, window)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, 0, nil, err
 		}
 	}
 	if pred == nil {
-		pred, err = predict.NewLookaheadMax(tr, window)
+		pred, err = predict.NewLookaheadMaxOver(b, window)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, 0, nil, err
 		}
 	}
 	headroom := cfg.Headroom
@@ -229,21 +275,31 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 	// Dense tables cost O(maxRate/step) up front; fleet-scaled traces push
 	// peak rates into the millions, where the memoizing lazy lookup (same
 	// combinations, computed on first query) is the only sane choice.
-	maxRate := tr.Max() * headroom
+	maxRate := b.Max() * headroom
 	var table bml.Lookup
 	if maxRate/planner.Step() > denseTableLimit {
 		table = planner.LazyTable(maxRate)
 	} else {
 		table = planner.Table(maxRate)
 	}
-	return table, pred, headroom, nil
+	return table, pred, headroom, b, nil
 }
 
-// buildBMLRig assembles the scheduler and cluster for a BML run.
-func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.Scheduler, *cluster.Cluster, error) {
-	table, pred, headroom, err := LiveRig(tr, planner, cfg)
+// bmlRig is a BML run's scheduler and cluster, and the block summary of
+// its trace that the integrator folds.
+type bmlRig struct {
+	sc     *sched.Scheduler
+	cl     *cluster.Cluster
+	blocks *trace.Blocks
+}
+
+// buildBMLRig assembles the scheduler and cluster for a BML run over tr,
+// sharing tr's block summary b when it is not nil. The scheduler keeps a
+// decision log only when wantLog asks for one.
+func buildBMLRig(tr *trace.Trace, b *trace.Blocks, planner *bml.Planner, cfg BMLConfig, wantLog bool) (*bmlRig, error) {
+	table, pred, headroom, b, err := liveRig(tr, b, planner, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var clOpts []cluster.Option
 	if cfg.Inventory != nil {
@@ -256,7 +312,11 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 	}
 	cl, err := cluster.New(planner.Candidates(), clOpts...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	logCap := -1
+	if wantLog {
+		logCap = 0 // the scheduler's default
 	}
 	sc, err := sched.New(sched.Config{
 		Table:           table,
@@ -266,11 +326,12 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 		App:             cfg.App,
 		OverheadAware:   cfg.OverheadAware,
 		AmortizeSeconds: cfg.AmortizeSeconds,
+		DecisionLogCap:  logCap,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return sc, cl, nil
+	return &bmlRig{sc: sc, cl: cl, blocks: b}, nil
 }
 
 // RunBML simulates the heterogeneous infrastructure under the proactive
@@ -278,7 +339,7 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 // table. The interval integrator is used unless WithTickEngine selects the
 // 1 Hz oracle.
 func RunBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, error) {
-	res, _, err := runBML(tr, planner, cfg, false, opts)
+	res, _, err := runBML(tr, nil, planner, cfg, false, opts)
 	return res, err
 }
 
@@ -287,24 +348,27 @@ func RunBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option
 // their simulation times). The differential replay harness
 // (internal/ctrl) compares this sequence against the live controller's.
 func RunBMLDecisions(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, []sched.Decision, error) {
-	return runBML(tr, planner, cfg, true, opts)
+	return runBML(tr, nil, planner, cfg, true, opts)
 }
 
-func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, opts []Option) (*Result, []sched.Decision, error) {
+// runBML runs the BML scenario over tr, sharing tr's block summary b when
+// it is not nil.
+func runBML(tr *trace.Trace, b *trace.Blocks, planner *bml.Planner, cfg BMLConfig, wantLog bool, opts []Option) (*Result, []sched.Decision, error) {
 	if tr == nil || planner == nil {
 		return nil, nil, errors.New("sim: nil trace or planner")
 	}
 	o := buildOptions(opts)
-	sc, cl, err := buildBMLRig(tr, planner, cfg)
+	rig, err := buildBMLRig(tr, b, planner, cfg, wantLog)
 	if err != nil {
 		return nil, nil, err
 	}
+	sc, cl := rig.sc, rig.cl
 
 	res := newResult("Big-Medium-Little", tr.Days())
 	if o.tick {
 		err = runBMLTick(tr, sc, res)
 	} else {
-		err = runBMLIntegrator(tr, sc, res, 0, nil)
+		err = runBMLIntegrator(rig.blocks, sc, res, 0, nil)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -316,6 +380,8 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 	res.MigrationEnergy = sc.MigrationEnergy()
 	res.Breakdown = cl.Breakdown()
 	res.Breakdown.Transition += res.MigrationEnergy
+	res.Cost.FoldSamples = cl.FoldSamplesRead()
+	res.Cost.ExitSamples = sc.ExitSamplesRead()
 	res.finalize()
 	var log []sched.Decision
 	if wantLog {
@@ -328,7 +394,7 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 // center: n = ceil(globalPeak / big.MaxPerf) machines of the Big class,
 // always on, load packed onto as few nodes as possible.
 func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	set, err := runBounds(tr, big, nil, legUBGlobal, buildOptions(opts))
+	set, err := runBounds(tr, nil, big, nil, legUBGlobal, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +406,7 @@ func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 // costs between days are not charged, which only makes this upper bound
 // more favorable.
 func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	set, err := runBounds(tr, big, nil, legUBPerDay, buildOptions(opts))
+	set, err := runBounds(tr, nil, big, nil, legUBPerDay, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +417,7 @@ func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 // (exact) combination for the instantaneous load, with no switching latency
 // or energy — the unreachable bound of Figure 5.
 func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (*Result, error) {
-	set, err := runBounds(tr, profile.Arch{}, candidates, legLowerBound, buildOptions(opts))
+	set, err := runBounds(tr, nil, profile.Arch{}, candidates, legLowerBound, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +433,7 @@ func RunBounds(tr *trace.Trace, planner *bml.Planner, opts ...Option) (*Scenario
 	if planner == nil {
 		return nil, errors.New("sim: nil planner")
 	}
-	return runBounds(tr, planner.Big(), planner.Candidates(), legUBGlobal|legUBPerDay|legLowerBound, buildOptions(opts))
+	return runBounds(tr, nil, planner.Big(), planner.Candidates(), legUBGlobal|legUBPerDay|legLowerBound, buildOptions(opts))
 }
 
 // boundLeg selects bound scenarios for runBounds.
@@ -379,9 +445,10 @@ const (
 	legLowerBound
 )
 
-// runBounds runs the selected bound scenarios: through one boundsFold by
-// default, one 1 Hz loop per scenario under tick.
-func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, legs boundLeg, o options) (*ScenarioSet, error) {
+// runBounds runs the selected bound scenarios over tr, sharing tr's block
+// summary b when it is not nil: through one boundsFold by default, one
+// 1 Hz loop per scenario under tick.
+func runBounds(tr *trace.Trace, b *trace.Blocks, big profile.Arch, candidates []profile.Arch, legs boundLeg, o options) (*ScenarioSet, error) {
 	if tr == nil {
 		return nil, errors.New("sim: nil trace")
 	}
@@ -390,14 +457,18 @@ func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, leg
 			return nil, err
 		}
 	}
-	// One scan yields every peak the legs need: the per-day peaks size UB
-	// PerDay and tell the fold which days fit a fleet's capacity, and their
-	// maximum (exact) is the global peak that sizes UB Global and the
-	// exact solver.
+	if b == nil {
+		b = trace.NewBlocks(tr)
+	}
+	// The block maxima yield every peak the legs need, reading no sample
+	// (a day is a whole number of blocks): the per-day peaks size UB
+	// PerDay and tell the fold which days fit a fleet's capacity, and
+	// their maximum (exact) is the global peak that sizes UB Global and
+	// the exact solver.
 	peaks := make([]float64, (tr.Len()+trace.SecondsPerDay-1)/trace.SecondsPerDay)
 	peak := 0.0
 	for d := range peaks {
-		peaks[d] = tr.MaxInWindow(d*trace.SecondsPerDay, trace.SecondsPerDay)
+		peaks[d], _ = b.RangeMax(d*trace.SecondsPerDay, min((d+1)*trace.SecondsPerDay, tr.Len()))
 		peak = max(peak, peaks[d])
 	}
 	days := tr.Days()
@@ -431,8 +502,14 @@ func runBounds(tr *trace.Trace, big profile.Arch, candidates []profile.Arch, leg
 		k.lower, k.solver = set.LowerBound, solver
 	}
 	if !o.tick {
-		if err := k.run(tr, peaks); err != nil {
+		read, err := k.run(b, peaks)
+		if err != nil {
 			return nil, err
+		}
+		for _, r := range []*Result{set.UpperBoundGlobal, set.UpperBoundPerDay, set.LowerBound} {
+			if r != nil {
+				r.Cost.BoundSamples = read
+			}
 		}
 	} else {
 		for _, l := range k.hom {

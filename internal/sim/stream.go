@@ -27,13 +27,15 @@ import (
 // configuration ablations are grid axes. v3 keeps v2's cell IDs and marks
 // results of the affine fold: the BML demand fold and the upper-bound legs
 // integrate demand sums in closed form (profile.Arch.PowerAt is affine in
-// load), which moves some result bits by rounding. Cell IDs carry no code
-// version, so without the bump a v2 cache or journal would serve the old
-// bits beside fresh ones. Each bump is deliberate and hard: a record of
+// load), which moves some result bits by rounding. v4 keeps the IDs too
+// and marks results read from the per-trace block summary (trace.Blocks):
+// demand sums come from absolute-aligned 64-sample block sums, another
+// summation order. Cell IDs carry no code version, so without a bump an
+// older cache or journal would serve the old bits beside fresh ones. Each bump is deliberate and hard: a record of
 // another schema is rejected with an explanatory error by MergeCells, the
 // caches and the ingest coordinator, never silently treated as a foreign
 // or an equal cell.
-const CellSchema = 3
+const CellSchema = 4
 
 // CellRecord is one completed sweep cell in self-describing form: enough
 // identity to validate it against a grid re-enumerated elsewhere (schema
@@ -226,6 +228,11 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 // in-flight cells through emit first (graceful stop). Individual cell
 // failures are delivered in their SweepResult like Sweep does.
 func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) error {
+	return sweepStream(jobs, workers, emit, newSweepCache())
+}
+
+// sweepStream is SweepStream with the cells sharing cache.
+func sweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error, cache *sweepCache) error {
 	if emit == nil {
 		return errors.New("sim: SweepStream needs an emit callback")
 	}
@@ -238,7 +245,6 @@ func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) err
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	cache := newSweepCache()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

@@ -1,9 +1,10 @@
 // Command benchcheck is the CI benchmark-regression gate: it parses the
-// output of a `go test -bench` smoke run (-benchtime=1x) and compares each
-// benchmark's ns/op against the committed baseline snapshot
-// (BENCH_sim.json), failing when any benchmark is slower than the baseline
-// by more than a generous factor. Single-iteration timings on shared CI
-// runners are noisy, so the default threshold (10x) only catches
+// output of a `go test -bench` smoke run (-benchtime=1x, -count 3) and
+// compares each benchmark's median ns/op over its repeats against the
+// committed baseline snapshot (BENCH_sim.json), failing when any benchmark
+// is slower than the baseline by more than a generous factor. The median
+// ignores one slow shot of three; still, single-iteration timings on
+// shared CI runners are noisy, so the default threshold (10x) only catches
 // order-of-magnitude regressions — an accidental O(fleet) scan back on the
 // hot path, a predictor rebuilt per cell — not percent-level drift. A
 // baseline entry can carry its own "max_factor" to override the default:
@@ -27,7 +28,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'EngineDayTrace|EngineMonthTrace|EngineMonthAllScenarios|EngineMonthBoundsRaw|SweepGrid|ShardedSweep|FleetScaling' -benchtime 1x . | tee bench.txt
+//	go test -run xxx -bench 'EngineDayTrace|EngineMonthTrace|EngineMonthAllScenarios|EngineMonthBoundsRaw|SweepGrid|ShardedSweep|FleetScaling' -benchtime 1x -count 3 . | tee bench.txt
 //	go run ./scripts/benchcheck -baseline BENCH_sim.json -results bench.txt -factor 10
 package main
 
@@ -40,6 +41,7 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -203,12 +205,13 @@ func main() {
 // parseBenchOutput extracts "BenchmarkName ns/op" pairs from go test -bench
 // output. Names are normalized by stripping the trailing -GOMAXPROCS
 // suffix so they match the snapshot's names; when several runs collapse to
-// one name (-cpu variants, -count repeats) the slowest is kept, so a
-// baseline entry — and its max_factor — always gates the worst measured
-// variant (conservative for a gate). Sub-benchmark names (Benchmark/sub)
-// stay distinct after suffix stripping: each needs its own baseline entry.
+// one name (-cpu variants, -count repeats) their median is kept — for an
+// even count the upper of the two middle values, the conservative side for
+// a gate — so one noisy shot neither fails nor passes the gate alone.
+// Sub-benchmark names (Benchmark/sub) stay distinct after suffix
+// stripping: each needs its own baseline entry.
 func parseBenchOutput(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+	runs := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 	for sc.Scan() {
@@ -230,11 +233,14 @@ func parseBenchOutput(r io.Reader) (map[string]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
 			}
-			if ns > out[name] {
-				out[name] = ns
-			}
+			runs[name] = append(runs[name], ns)
 			break
 		}
+	}
+	out := make(map[string]float64, len(runs))
+	for name, ns := range runs {
+		sort.Float64s(ns)
+		out[name] = ns[len(ns)/2]
 	}
 	return out, sc.Err()
 }

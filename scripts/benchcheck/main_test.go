@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// TestParseBenchOutputCollapsesCPUVariants pins which variant a baseline
-// entry's threshold applies to when one benchmark runs several times: the
-// -GOMAXPROCS suffix is stripped, so every -cpu variant (and -count
-// repeat) collapses to the snapshot's name, and the SLOWEST measurement
-// wins. A max_factor entry for "BenchmarkEngineDayTrace" therefore gates
-// the worst of BenchmarkEngineDayTrace-2/-4/... — the conservative choice
-// for a regression gate.
+// TestParseBenchOutputCollapsesCPUVariants pins which measurement a
+// baseline entry's threshold applies to when one benchmark runs several
+// times: the -GOMAXPROCS suffix is stripped, so every -cpu variant (and
+// -count repeat) collapses to the snapshot's name, and the MEDIAN of the
+// measurements is gated, so that one slow shot of three neither fails the
+// gate alone nor hides behind two fast ones.
 func TestParseBenchOutputCollapsesCPUVariants(t *testing.T) {
 	out, err := parseBenchOutput(strings.NewReader(`
 goos: linux
@@ -26,8 +25,25 @@ PASS
 	if len(out) != 1 {
 		t.Fatalf("variants did not collapse to one name: %v", out)
 	}
-	if got := out["BenchmarkEngineDayTrace"]; got != 250000 {
-		t.Errorf("collapsed ns/op = %v, want 250000 (the slowest variant)", got)
+	if got := out["BenchmarkEngineDayTrace"]; got != 150000 {
+		t.Errorf("collapsed ns/op = %v, want 150000 (the median)", got)
+	}
+}
+
+// With an even number of repeats the upper of the two middle measurements
+// is gated: the conservative side.
+func TestParseBenchOutputEvenCountTakesUpperMedian(t *testing.T) {
+	out, err := parseBenchOutput(strings.NewReader(`
+BenchmarkSweepGrid-2 	       1	   400 ns/op
+BenchmarkSweepGrid-2 	       1	   100 ns/op
+BenchmarkSweepGrid-2 	       1	   300 ns/op
+BenchmarkSweepGrid-2 	       1	   200 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out["BenchmarkSweepGrid"]; got != 300 {
+		t.Errorf("median of 4 repeats = %v, want 300", got)
 	}
 }
 
